@@ -480,9 +480,9 @@ fn main() {
             for strategy in STRATEGIES {
                 let mut serial_ms = None;
                 for &threads in &args.threads {
-                    // Everything below `choose_parallelism` reads the
-                    // environment (ParallelMode::Auto), so this is exactly
-                    // the user-facing knob.
+                    // The engine reads the environment once per query, when
+                    // it mints the query's guard (ParallelMode::Auto), so
+                    // this is exactly the user-facing knob.
                     std::env::set_var("PA_THREADS", threads.to_string());
                     let (ms, telemetry, extra) = if strategy == "lattice" {
                         let (ms, telemetry, extra, single_ms, per_level_ms) =

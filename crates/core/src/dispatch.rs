@@ -301,16 +301,15 @@ impl<'a> PivotCtx<'a> {
     /// end. Guard/span cadence matches the scalar scan (one charge per
     /// morsel plus one per fresh group), so budgets and traces are
     /// path-independent.
-    #[allow(clippy::too_many_arguments)]
     fn scan_fused(
         &self,
         fused: &FusedPivot<'a>,
         chunk: std::ops::Range<usize>,
         guard: &ResourceGuard,
         stats: &mut ExecStats,
-        config: &ParallelConfig,
         span: &mut SpanHandle,
     ) -> Result<(GroupMap, Vec<Acc>)> {
+        let config = guard.config();
         let space = self
             .group_space
             .clone()
@@ -431,11 +430,11 @@ impl<'a> PivotCtx<'a> {
         chunk: std::ops::Range<usize>,
         guard: &ResourceGuard,
         stats: &mut ExecStats,
-        config: &ParallelConfig,
         span: &mut SpanHandle,
     ) -> Result<(GroupMap, Vec<Acc>)> {
+        let config = guard.config();
         if let Some(fused) = self.try_fused(config) {
-            return self.scan_fused(&fused, chunk, guard, stats, config, span);
+            return self.scan_fused(&fused, chunk, guard, stats, span);
         }
         let mut groups = GroupMap::for_space(self.group_space.clone());
         let mut accs: Vec<Acc> = Vec::new();
@@ -530,59 +529,21 @@ impl<'a> PivotCtx<'a> {
 /// Produces the raw horizontal table: the `j_cols` key columns followed by,
 /// for each task, `lanes × combos` cell columns (lane-major within a combo)
 /// and the optional total column, then the flattened extra lanes.
+///
+/// The scan is charged to `guard` morsel by morsel, and each new group
+/// charges as its accumulator lane is allocated (the pivot's memory
+/// actually grows with `groups × cells`, so group discovery is exactly where
+/// a runaway `Hpct` must be stopped). Parallelism follows the guard's
+/// [`ParallelConfig`].
 pub fn pivot_aggregate(
     src: &Table,
     j_cols: &[usize],
     tasks: &[PivotTask],
     extra_lanes: &[(AggFunc, Expr)],
-    stats: &mut ExecStats,
-) -> Result<Table> {
-    pivot_aggregate_guarded(
-        src,
-        j_cols,
-        tasks,
-        extra_lanes,
-        &ResourceGuard::unlimited(),
-        stats,
-    )
-}
-
-/// [`pivot_aggregate`] under a [`ResourceGuard`]: the scan is charged morsel
-/// by morsel, and each new group charges as its accumulator lane is
-/// allocated (the pivot's memory actually grows with `groups × cells`, so
-/// group discovery is exactly where a runaway `Hpct` must be stopped).
-/// Parallelism follows the environment configuration
-/// ([`ParallelConfig::from_env`]).
-pub fn pivot_aggregate_guarded(
-    src: &Table,
-    j_cols: &[usize],
-    tasks: &[PivotTask],
-    extra_lanes: &[(AggFunc, Expr)],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<Table> {
-    pivot_aggregate_with_config(
-        src,
-        j_cols,
-        tasks,
-        extra_lanes,
-        guard,
-        stats,
-        &ParallelConfig::from_env(),
-    )
-}
-
-/// [`pivot_aggregate_guarded`] with an explicit [`ParallelConfig`] (tests
-/// and benches pin thread counts here instead of racing on env vars).
-pub fn pivot_aggregate_with_config(
-    src: &Table,
-    j_cols: &[usize],
-    tasks: &[PivotTask],
-    extra_lanes: &[(AggFunc, Expr)],
-    guard: &ResourceGuard,
-    stats: &mut ExecStats,
-    config: &ParallelConfig,
-) -> Result<Table> {
+    let config = guard.config();
     stats.statements += 1;
     stats.holistic_lanes += tasks
         .iter()
@@ -626,23 +587,20 @@ pub fn pivot_aggregate_with_config(
     let extra_base = width;
     width += extra_lanes.len();
 
-    let template: Vec<Acc> = {
-        let mut t = Vec::with_capacity(width);
-        for task in tasks {
-            for _combo in &task.combos {
-                for (func, _) in &task.lanes {
-                    t.push(Acc::new(*func));
-                }
-            }
-            if task.total.is_some() {
-                t.push(Acc::new(AggFunc::Sum));
-            }
+    // Function at each matrix position; `template` holds the matching
+    // empty accumulators, and the fused path converts its raw sums/counts
+    // through the functions.
+    let mut template_funcs: Vec<AggFunc> = Vec::with_capacity(width);
+    for task in tasks {
+        for _combo in &task.combos {
+            template_funcs.extend(task.lanes.iter().map(|(func, _)| *func));
         }
-        for (func, _) in extra_lanes {
-            t.push(Acc::new(*func));
+        if task.total.is_some() {
+            template_funcs.push(AggFunc::Sum);
         }
-        t
-    };
+    }
+    template_funcs.extend(extra_lanes.iter().map(|(func, _)| *func));
+    let template: Vec<Acc> = template_funcs.iter().map(|&func| Acc::new(func)).collect();
 
     let lane_kernels: Vec<Vec<LaneKernel>> = tasks
         .iter()
@@ -665,25 +623,6 @@ pub fn pivot_aggregate_with_config(
         .iter()
         .map(|(func, input)| classify_lane(*func, input, src))
         .collect();
-    // Function at each matrix position, parallel to `template`: the fused
-    // path converts its raw sums/counts through these.
-    let template_funcs: Vec<AggFunc> = {
-        let mut t = Vec::with_capacity(width);
-        for task in tasks {
-            for _combo in &task.combos {
-                for (func, _) in &task.lanes {
-                    t.push(*func);
-                }
-            }
-            if task.total.is_some() {
-                t.push(AggFunc::Sum);
-            }
-        }
-        for (func, _) in extra_lanes {
-            t.push(*func);
-        }
-        t
-    };
     let col_slices: Vec<Option<NumSlice<'_>>> = (0..src.num_columns())
         .map(|c| NumSlice::for_column(src.column(c)))
         .collect();
@@ -708,7 +647,6 @@ pub fn pivot_aggregate_with_config(
 
     let n = src.num_rows();
     stats.rows_scanned += n as u64;
-    let chunks = config.chunks(n);
     let mut span = guard.span("pivot");
     // Probing here (a) labels the trace with the chosen kernel path and
     // (b) warms the lazy packed code vectors serially, before workers race
@@ -719,76 +657,32 @@ pub fn pivot_aggregate_with_config(
         "scalar"
     });
 
-    let (mut groups, mut accs) = if chunks.len() <= 1 {
-        ctx.scan(0..n, guard, stats, config, &mut span)?
-    } else {
-        type WorkerOut = Result<(GroupMap, Vec<Acc>, ExecStats)>;
-        let panicked = |p: Box<dyn std::any::Any + Send>| crate::CoreError::WorkerPanicked {
-            operator: "pivot_aggregate".into(),
-            payload: pa_engine::error::panic_payload(p),
-        };
-        let worker_results: Vec<WorkerOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .enumerate()
-                .map(|(w, chunk)| {
-                    let ctx = &ctx;
-                    // Worker-index child spans merge deterministically in the
-                    // trace report regardless of thread close order.
-                    let mut wspan = span.child("worker", w as u32);
-                    s.spawn(move || -> WorkerOut {
-                        // Contain panics at the thread boundary: convert to a
-                        // typed error and cancel siblings through the shared
-                        // guard so they stop within one morsel.
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> WorkerOut {
-                            let mut wstats = ExecStats::default();
-                            let (groups, accs) =
-                                ctx.scan(chunk, guard, &mut wstats, config, &mut wspan)?;
-                            Ok((groups, accs, wstats))
-                        }))
-                        .unwrap_or_else(|p| {
-                            guard.cancel();
-                            Err(panicked(p))
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| Err(panicked(p))))
-                .collect()
-        });
-        // A panic is the root cause; siblings that observed the cancelled
-        // guard only report the secondary `Cancelled` — surface the panic.
-        if let Some(Err(e)) = worker_results
-            .iter()
-            .find(|r| matches!(r, Err(crate::CoreError::WorkerPanicked { .. })))
-        {
-            return Err(e.clone());
-        }
-        // Deterministic ordered merge: worker 0's partial seeds the global
-        // matrix (its group order is the serial prefix order), later
-        // workers fold in, in worker order.
-        let mut iter = worker_results.into_iter();
-        let (mut groups, mut accs, wstats) = iter.next().expect("at least one worker")?;
-        *stats += wstats;
-        for result in iter {
-            let (wgroups, waccs, wstats) = result?;
-            *stats += wstats;
-            let mut waccs = waccs.into_iter();
-            for gid in groups.merge_ids(wgroups, stats) {
-                let gid = gid as usize;
-                if (gid + 1) * width > accs.len() {
-                    accs.extend_from_slice(&template);
-                }
-                for w in 0..width {
-                    let partial = waccs.next().expect("partial accs cover groups × width");
-                    accs[gid * width + w].merge(partial)?;
-                }
+    let chunk_results = pa_engine::parallel::fan_out(
+        guard,
+        &mut span,
+        "pivot_aggregate",
+        n,
+        stats,
+        |chunk, wstats, wspan| ctx.scan(chunk, guard, wstats, wspan),
+    )?;
+    // Deterministic ordered merge: the first chunk's partial seeds the
+    // global matrix (its group order is the serial prefix order), later
+    // chunks fold in, in worker order.
+    let mut chunk_results = chunk_results.into_iter();
+    let (mut groups, mut accs) = chunk_results.next().expect("at least one chunk");
+    for (wgroups, waccs) in chunk_results {
+        let mut waccs = waccs.into_iter();
+        for gid in groups.merge_ids(wgroups, stats) {
+            let gid = gid as usize;
+            if (gid + 1) * width > accs.len() {
+                accs.extend_from_slice(&template);
+            }
+            for w in 0..width {
+                let partial = waccs.next().expect("partial accs cover groups × width");
+                accs[gid * width + w].merge(partial)?;
             }
         }
-        (groups, accs)
-    };
+    }
 
     // Global aggregation yields one row even over empty input.
     if j_cols.is_empty() && groups.is_empty() {
@@ -843,6 +737,9 @@ pub fn pivot_aggregate_with_config(
 mod tests {
     use super::*;
 
+    /// The unlimited guard the direct operator calls below run under.
+    const G: ResourceGuard = ResourceGuard::unlimited();
+
     fn sales() -> Table {
         let schema = Schema::from_pairs(&[
             ("store", DataType::Int),
@@ -878,7 +775,7 @@ mod tests {
     fn pivot_matches_manual_sums() {
         let t = sales();
         let mut st = ExecStats::default();
-        let raw = pivot_aggregate(&t, &[0], &[task(&t)], &[], &mut st).unwrap();
+        let raw = pivot_aggregate(&t, &[0], &[task(&t)], &[], &G, &mut st).unwrap();
         let raw = raw.sorted_by(&[0]);
         // store 1: Mon 20, Tue 30, total 50; store 2: Mon 5, Tue 15, total 20.
         assert_eq!(raw.get(0, 1), Value::Float(20.0));
@@ -894,7 +791,7 @@ mod tests {
         let t = sales();
         let mut st = ExecStats::default();
         let extras = vec![(AggFunc::CountStar, Expr::lit(1))];
-        let raw = pivot_aggregate(&t, &[], &[task(&t)], &extras, &mut st).unwrap();
+        let raw = pivot_aggregate(&t, &[], &[task(&t)], &extras, &G, &mut st).unwrap();
         assert_eq!(raw.num_rows(), 1);
         assert_eq!(raw.get(0, 0), Value::Float(25.0)); // Mon global
         assert_eq!(raw.get(0, 1), Value::Float(45.0)); // Tue global
@@ -906,7 +803,7 @@ mod tests {
     fn empty_input_global_row() {
         let t = Table::empty(sales().schema().clone());
         let mut st = ExecStats::default();
-        let raw = pivot_aggregate(&t, &[], &[task(&t)], &[], &mut st).unwrap();
+        let raw = pivot_aggregate(&t, &[], &[task(&t)], &[], &G, &mut st).unwrap();
         assert_eq!(raw.num_rows(), 1);
         assert_eq!(raw.get(0, 0), Value::Null);
     }
@@ -926,7 +823,7 @@ mod tests {
             total: None,
         };
         let mut st = ExecStats::default();
-        let raw = pivot_aggregate(&t, &[0], &[task], &[], &mut st)
+        let raw = pivot_aggregate(&t, &[0], &[task], &[], &G, &mut st)
             .unwrap()
             .sorted_by(&[0]);
         // store 1 Mon: amounts 10,10 → min 10, max 10, avg 10.
@@ -971,14 +868,13 @@ mod tests {
             total: Some(amt),
         }];
         let extras = vec![(AggFunc::CountStar, Expr::lit(1))];
-        let serial = pivot_aggregate_with_config(
+        let serial = pivot_aggregate(
             &t,
             &[0],
             &tasks,
             &extras,
-            &ResourceGuard::unlimited(),
+            &G.with_config(ParallelConfig::serial()),
             &mut ExecStats::default(),
-            &ParallelConfig::serial(),
         )
         .unwrap();
         for threads in [2, 4, 7] {
@@ -988,14 +884,13 @@ mod tests {
                 min_parallel_rows: 0,
                 ..ParallelConfig::serial()
             };
-            let parallel = pivot_aggregate_with_config(
+            let parallel = pivot_aggregate(
                 &t,
                 &[0],
                 &tasks,
                 &extras,
-                &ResourceGuard::unlimited(),
+                &G.with_config(config),
                 &mut ExecStats::default(),
-                &config,
             )
             .unwrap();
             let s_rows: Vec<Vec<Value>> = serial.rows().collect();

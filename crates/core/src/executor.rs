@@ -5,14 +5,14 @@
 //! evaluate, and manage temporary-table naming.
 
 use crate::error::{CoreError, Result};
-use crate::horizontal::{eval_horizontal_guarded, HorizontalResult};
+use crate::horizontal::{eval_horizontal, HorizontalResult};
 use crate::missing::{postprocess_pad, preprocess_pad, MissingRows};
 use crate::olap::eval_vpct_olap;
 use crate::optimizer::{choose_horizontal_strategy, choose_vpct_strategy};
 use crate::query::{from_sql, HorizontalQuery, Query, VpctQuery};
-use crate::strategy::{HorizontalOptions, VpctStrategy};
-use crate::vertical::{eval_vpct_guarded, QueryResult};
-use pa_engine::{Clock, Deadline, ResourceGuard, TraceReport, Tracer};
+use crate::strategy::{HorizontalOptions, ParallelMode, VpctStrategy};
+use crate::vertical::{eval_vpct, QueryResult};
+use pa_engine::{Clock, Deadline, ParallelConfig, ResourceGuard, TraceReport, Tracer};
 use pa_storage::Catalog;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -142,6 +142,9 @@ impl<'a> PercentageEngine<'a> {
     }
 
     /// Attach a [`ResourceGuard`] metering every query this engine runs.
+    /// Its limits, cancellation and chaos trigger carry over to every
+    /// query; its [`ParallelConfig`] does not — each query's is resolved
+    /// from the environment when the query starts.
     /// The row budget applies *per top-level query* — each `execute_sql` /
     /// `vpct` / `horizontal` call runs under a fresh meter derived from this
     /// guard, so a long-lived engine never exhausts its budget across
@@ -163,8 +166,7 @@ impl<'a> PercentageEngine<'a> {
 
     /// Default wall-clock deadline for every query this engine runs; each
     /// top-level call gets the full allowance, counted from when the call
-    /// starts. Per-call [`QueryLimits`] and
-    /// [`HorizontalOptions::deadline`] override it.
+    /// starts. Per-call [`QueryLimits`] override it.
     pub fn with_deadline(mut self, allow: Duration) -> Self {
         self.deadline = Some(allow);
         self
@@ -321,50 +323,45 @@ impl<'a> PercentageEngine<'a> {
         self.pin_source(table)
     }
 
-    /// The fault boundary every top-level query runs inside.
+    /// The fault boundary every top-level query runs inside, and the one
+    /// place a query's execution context is made.
     ///
     /// Mints one temp-table prefix for the whole query (WHERE views,
-    /// intermediates and result share the namespace), derives a per-query
-    /// guard layering the per-call limits over the engine defaults, catches
-    /// panics that escape the plan (converting them to
-    /// [`CoreError::WorkerPanicked`] and cancelling the guard so sibling
-    /// workers stop), and guarantees the catalog is swept of this query's
-    /// temporaries on every failure path. Returns the closure's value plus
-    /// the rows this query charged against its guard.
+    /// intermediates and result share the namespace) and derives the
+    /// per-query guard: the per-call limits layered over the engine
+    /// defaults, and the query's [`ParallelConfig`] — read from the
+    /// environment here, once, with `opts`' parallel mode and kernel
+    /// ablation applied for either family. Every operator of the query reads
+    /// that config from the guard. With a `tracer`, the query runs with a
+    /// root `query` span open and the tracer riding on the guard, so every
+    /// operator underneath records child spans; the drained
+    /// [`TraceReport`] comes back with the result.
+    ///
+    /// Panics that escape the plan become [`CoreError::WorkerPanicked`]
+    /// (cancelling the guard so sibling workers stop), and the catalog is
+    /// swept of this query's temporaries on every failure path. Returns the
+    /// closure's value plus the rows this query charged against its guard.
     fn run_query<T>(
         &self,
         op: &str,
         limits: QueryLimits,
-        opt_deadline: Option<Duration>,
-        f: impl FnOnce(&str, &ResourceGuard) -> Result<T>,
-    ) -> Result<(T, u64)> {
-        let (v, charged, _) = self.run_query_traced(op, limits, opt_deadline, None, f)?;
-        Ok((v, charged))
-    }
-
-    /// [`PercentageEngine::run_query`] with an optional per-query tracer:
-    /// when `Some`, the query runs with a root `query` span open and the
-    /// tracer riding on the per-query guard, so every operator underneath
-    /// records child spans. The drained [`TraceReport`] comes back alongside
-    /// the result — also on the error path's `None`, since a failed query
-    /// drops its report with it.
-    fn run_query_traced<T>(
-        &self,
-        op: &str,
-        limits: QueryLimits,
-        opt_deadline: Option<Duration>,
+        opts: &HorizontalOptions,
         tracer: Option<Tracer>,
         f: impl FnOnce(&str, &ResourceGuard) -> Result<T>,
     ) -> Result<(T, u64, Option<TraceReport>)> {
         let prefix = self.prefix();
-        let allow = limits.deadline.or(opt_deadline).or(self.deadline);
+        let allow = limits.deadline.or(self.deadline);
         let deadline = allow.map(|d| Deadline::with_clock(d, Arc::clone(&self.clock)));
-        let mut qguard = self.guard.per_query_limited(limits.row_budget, deadline);
-        if qguard.is_unlimited() {
-            // No limits anywhere: still meter the query so `rows_charged`
-            // reports its cost and a panic can cancel surviving workers.
-            qguard = ResourceGuard::counting();
-        }
+        // Input sizes are unknown before the plan runs; every operator
+        // still drops inputs below the serial threshold to the serial path.
+        let config = opts.parallel_config(ParallelConfig::from_env(), usize::MAX);
+        // Even with no limits anywhere, meter the query so `rows_charged`
+        // reports its cost and a panic can cancel surviving workers.
+        let mut qguard = self
+            .guard
+            .per_query_limited(limits.row_budget, deadline)
+            .metered()
+            .with_config(config);
         if let Some(t) = &tracer {
             qguard = qguard.with_tracer(t.clone());
         }
@@ -400,6 +397,11 @@ impl<'a> PercentageEngine<'a> {
         }
     }
 
+    /// A fresh tracer on the engine's clock.
+    fn tracer(&self) -> Tracer {
+        Tracer::enabled(Arc::clone(&self.clock))
+    }
+
     /// Heuristic vertical evaluation under an externally supplied prefix
     /// and guard. Multi-term queries (`m > 1`) evaluate bottom-up on the
     /// dimension lattice (SIGMOD §3.1: "partial aggregations need to be
@@ -411,24 +413,53 @@ impl<'a> PercentageEngine<'a> {
         guard: &ResourceGuard,
     ) -> Result<QueryResult> {
         if q.terms.len() > 1 {
-            return crate::lattice::eval_vpct_lattice_guarded(self.catalog, q, prefix, guard);
+            return crate::lattice::eval_vpct_lattice(self.catalog, q, prefix, guard);
         }
         let strat = choose_vpct_strategy(self.catalog, q);
-        eval_vpct_guarded(self.catalog, q, &strat, prefix, guard)
+        eval_vpct(self.catalog, q, &strat, prefix, guard)
+    }
+
+    /// Horizontal evaluation with explicit options, or with the CASE source
+    /// picked heuristically when there are none.
+    fn eval_horizontal_opts(
+        &self,
+        q: &HorizontalQuery,
+        opts: Option<&HorizontalOptions>,
+        prefix: &str,
+        guard: &ResourceGuard,
+    ) -> Result<HorizontalResult> {
+        match opts {
+            Some(opts) => eval_horizontal(self.catalog, q, opts, prefix, guard),
+            None => {
+                let strategy = choose_horizontal_strategy(self.catalog, q)?;
+                let opts = HorizontalOptions::with_strategy(strategy);
+                eval_horizontal(self.catalog, q, &opts, prefix, guard)
+            }
+        }
     }
 
     /// Evaluate a vertical percentage query with the recommended strategy.
     pub fn vpct(&self, q: &VpctQuery) -> Result<QueryResult> {
-        self.vpct_limited(q, QueryLimits::none())
+        self.vpct_limited(q, ParallelMode::Auto, QueryLimits::none())
     }
 
-    /// [`PercentageEngine::vpct`] with per-call limits.
-    pub fn vpct_limited(&self, q: &VpctQuery, limits: QueryLimits) -> Result<QueryResult> {
+    /// [`PercentageEngine::vpct`] with a parallel mode and per-call limits.
+    pub fn vpct_limited(
+        &self,
+        q: &VpctQuery,
+        parallel: ParallelMode,
+        limits: QueryLimits,
+    ) -> Result<QueryResult> {
         let mut q = q.clone();
         let _pin = self.pin_source(&mut q.table);
-        let (mut r, charged) = self.run_query("vpct", limits, None, |prefix, guard| {
-            self.eval_vertical(&q, prefix, guard)
-        })?;
+        let opts = HorizontalOptions {
+            parallel,
+            ..HorizontalOptions::default()
+        };
+        let (mut r, charged, _) =
+            self.run_query("vpct", limits, &opts, None, |prefix, guard| {
+                self.eval_vertical(&q, prefix, guard)
+            })?;
         r.stats.rows_charged = charged;
         Ok(r)
     }
@@ -441,10 +472,13 @@ impl<'a> PercentageEngine<'a> {
             .iter_mut()
             .map(|q| self.pin_source(&mut q.table))
             .collect();
-        let (mut results, charged) =
-            self.run_query("vpct_batch", QueryLimits::none(), None, |prefix, guard| {
-                crate::lattice::eval_vpct_batch_guarded(self.catalog, &queries, prefix, guard)
-            })?;
+        let (mut results, charged, _) = self.run_query(
+            "vpct_batch",
+            QueryLimits::none(),
+            &HorizontalOptions::default(),
+            None,
+            |prefix, guard| crate::lattice::eval_vpct_batch(self.catalog, &queries, prefix, guard),
+        )?;
         // The batch meters its shared work on the first result (the one
         // whose stats carry the fused summary pass).
         if let Some(first) = results.first_mut() {
@@ -455,14 +489,7 @@ impl<'a> PercentageEngine<'a> {
 
     /// Evaluate a vertical percentage query with an explicit strategy.
     pub fn vpct_with(&self, q: &VpctQuery, strat: &VpctStrategy) -> Result<QueryResult> {
-        let mut q = q.clone();
-        let _pin = self.pin_source(&mut q.table);
-        let (mut r, charged) =
-            self.run_query("vpct", QueryLimits::none(), None, |prefix, guard| {
-                eval_vpct_guarded(self.catalog, &q, strat, prefix, guard)
-            })?;
-        r.stats.rows_charged = charged;
-        Ok(r)
+        self.vpct_with_missing(q, strat, MissingRows::Ignore)
     }
 
     /// Evaluate with explicit strategy and missing-row handling.
@@ -481,21 +508,22 @@ impl<'a> PercentageEngine<'a> {
         } else {
             self.pin_source(&mut q.table)
         };
-        let (mut r, charged) = self.run_query(
+        let (mut r, charged, _) = self.run_query(
             "vpct",
             QueryLimits::none(),
+            &HorizontalOptions::default(),
             None,
             |prefix, guard| match missing {
-                MissingRows::Ignore => eval_vpct_guarded(self.catalog, &q, strat, prefix, guard),
+                MissingRows::Ignore => eval_vpct(self.catalog, &q, strat, prefix, guard),
                 MissingRows::PreProcess => {
                     let mut stats = pa_engine::ExecStats::default();
                     preprocess_pad(self.catalog, &q, &mut stats)?;
-                    let mut result = eval_vpct_guarded(self.catalog, &q, strat, prefix, guard)?;
+                    let mut result = eval_vpct(self.catalog, &q, strat, prefix, guard)?;
                     result.stats += stats;
                     Ok(result)
                 }
                 MissingRows::PostProcess => {
-                    let mut result = eval_vpct_guarded(self.catalog, &q, strat, prefix, guard)?;
+                    let mut result = eval_vpct(self.catalog, &q, strat, prefix, guard)?;
                     let mut stats = pa_engine::ExecStats::default();
                     postprocess_pad(self.catalog, &q, &result, &mut stats)?;
                     result.stats += stats;
@@ -512,9 +540,13 @@ impl<'a> PercentageEngine<'a> {
     pub fn vpct_olap(&self, q: &VpctQuery) -> Result<QueryResult> {
         let mut q = q.clone();
         let _pin = self.pin_source(&mut q.table);
-        let (r, _) = self.run_query("vpct_olap", QueryLimits::none(), None, |prefix, _| {
-            eval_vpct_olap(self.catalog, &q, prefix)
-        })?;
+        let (r, _, _) = self.run_query(
+            "vpct_olap",
+            QueryLimits::none(),
+            &HorizontalOptions::default(),
+            None,
+            |prefix, _| eval_vpct_olap(self.catalog, &q, prefix),
+        )?;
         Ok(r)
     }
 
@@ -538,22 +570,33 @@ impl<'a> PercentageEngine<'a> {
     }
 
     /// [`PercentageEngine::horizontal_with`] with per-call limits. The
-    /// deadline precedence is `limits` > [`HorizontalOptions::deadline`] >
-    /// the engine default.
+    /// deadline precedence is `limits` > the engine default.
     pub fn horizontal_limited(
         &self,
         q: &HorizontalQuery,
         opts: &HorizontalOptions,
         limits: QueryLimits,
     ) -> Result<HorizontalResult> {
+        Ok(self.run_horizontal(q, opts, limits, None)?.0)
+    }
+
+    /// The typed horizontal path: pin, run under `opts` and `limits`,
+    /// optionally traced.
+    fn run_horizontal(
+        &self,
+        q: &HorizontalQuery,
+        opts: &HorizontalOptions,
+        limits: QueryLimits,
+        tracer: Option<Tracer>,
+    ) -> Result<(HorizontalResult, Option<TraceReport>)> {
         let mut q = q.clone();
         let _pin = self.pin_source(&mut q.table);
-        let (mut r, charged) =
-            self.run_query("horizontal", limits, opts.deadline, |prefix, guard| {
-                eval_horizontal_guarded(self.catalog, &q, opts, prefix, guard)
+        let (mut r, charged, report) =
+            self.run_query("horizontal", limits, opts, tracer, |prefix, guard| {
+                eval_horizontal(self.catalog, &q, opts, prefix, guard)
             })?;
         r.stats.rows_charged = charged;
-        Ok(r)
+        Ok((r, report))
     }
 
     /// Parse, validate and execute a SQL statement in the percentage
@@ -568,39 +611,7 @@ impl<'a> PercentageEngine<'a> {
     /// [`PercentageEngine::execute_sql`] with per-call limits — the serving
     /// layer's entry point for session budgets and deadlines.
     pub fn execute_sql_limited(&self, sql: &str, limits: QueryLimits) -> Result<SqlOutcome> {
-        let stmt = pa_sql::parse(sql)?;
-        if !stmt.grouping.is_flat() {
-            return Ok(self
-                .execute_grouping_sets(&stmt, limits, None, None, None)?
-                .0);
-        }
-        let mut query = from_sql(&stmt)?;
-        let _pin = self.pin_query(&mut query);
-        let (mut outcome, charged) =
-            self.run_query("execute_sql", limits, None, |prefix, guard| {
-                let mut query = query;
-                self.apply_where(&stmt, &mut query, prefix, guard)?;
-                let outcome = match query {
-                    Query::Vertical(q) => {
-                        SqlOutcome::Vertical(self.eval_vertical(&q, prefix, guard)?)
-                    }
-                    Query::Horizontal(q) => {
-                        let strategy = choose_horizontal_strategy(self.catalog, &q)?;
-                        let opts = HorizontalOptions::with_strategy(strategy);
-                        SqlOutcome::Horizontal(eval_horizontal_guarded(
-                            self.catalog,
-                            &q,
-                            &opts,
-                            prefix,
-                            guard,
-                        )?)
-                    }
-                };
-                apply_order(&outcome, &stmt.order_by, guard)?;
-                Ok(outcome)
-            })?;
-        outcome.stats_mut().rows_charged = charged;
-        Ok(outcome)
+        Ok(self.run_sql(&pa_sql::parse(sql)?, limits, None, None)?.0)
     }
 
     /// [`PercentageEngine::execute_sql_limited`] under a per-query tracer:
@@ -616,44 +627,7 @@ impl<'a> PercentageEngine<'a> {
         limits: QueryLimits,
     ) -> Result<(SqlOutcome, TraceReport)> {
         let stmt = pa_sql::parse_statement(sql)?.select().clone();
-        if !stmt.grouping.is_flat() {
-            let tracer = Tracer::enabled(Arc::clone(&self.clock));
-            let (outcome, report) =
-                self.execute_grouping_sets(&stmt, limits, None, None, Some(tracer))?;
-            return Ok((outcome, report.unwrap_or_default()));
-        }
-        let mut query = from_sql(&stmt)?;
-        let _pin = self.pin_query(&mut query);
-        let tracer = Tracer::enabled(Arc::clone(&self.clock));
-        let (mut outcome, charged, report) = self.run_query_traced(
-            "execute_sql",
-            limits,
-            None,
-            Some(tracer),
-            |prefix, guard| {
-                let mut query = query;
-                self.apply_where(&stmt, &mut query, prefix, guard)?;
-                let outcome = match query {
-                    Query::Vertical(q) => {
-                        SqlOutcome::Vertical(self.eval_vertical(&q, prefix, guard)?)
-                    }
-                    Query::Horizontal(q) => {
-                        let strategy = choose_horizontal_strategy(self.catalog, &q)?;
-                        let opts = HorizontalOptions::with_strategy(strategy);
-                        SqlOutcome::Horizontal(eval_horizontal_guarded(
-                            self.catalog,
-                            &q,
-                            &opts,
-                            prefix,
-                            guard,
-                        )?)
-                    }
-                };
-                apply_order(&outcome, &stmt.order_by, guard)?;
-                Ok(outcome)
-            },
-        )?;
-        outcome.stats_mut().rows_charged = charged;
+        let (outcome, report) = self.run_sql(&stmt, limits, None, Some(self.tracer()))?;
         Ok((outcome, report.unwrap_or_default()))
     }
 
@@ -662,12 +636,11 @@ impl<'a> PercentageEngine<'a> {
     pub fn vpct_traced(&self, q: &VpctQuery) -> Result<(QueryResult, TraceReport)> {
         let mut q = q.clone();
         let _pin = self.pin_source(&mut q.table);
-        let tracer = Tracer::enabled(Arc::clone(&self.clock));
-        let (mut r, charged, report) = self.run_query_traced(
+        let (mut r, charged, report) = self.run_query(
             "vpct",
             QueryLimits::none(),
-            None,
-            Some(tracer),
+            &HorizontalOptions::default(),
+            Some(self.tracer()),
             |prefix, guard| self.eval_vertical(&q, prefix, guard),
         )?;
         r.stats.rows_charged = charged;
@@ -682,22 +655,13 @@ impl<'a> PercentageEngine<'a> {
         q: &HorizontalQuery,
         opts: &HorizontalOptions,
     ) -> Result<(HorizontalResult, TraceReport)> {
-        let mut q = q.clone();
-        let _pin = self.pin_source(&mut q.table);
-        let tracer = Tracer::enabled(Arc::clone(&self.clock));
-        let (mut r, charged, report) = self.run_query_traced(
-            "horizontal",
-            QueryLimits::none(),
-            opts.deadline,
-            Some(tracer),
-            |prefix, guard| eval_horizontal_guarded(self.catalog, &q, opts, prefix, guard),
-        )?;
-        r.stats.rows_charged = charged;
+        let (r, report) = self.run_horizontal(q, opts, QueryLimits::none(), Some(self.tracer()))?;
         Ok((r, report.unwrap_or_default()))
     }
 
     /// Like [`PercentageEngine::execute_sql`] but with explicit strategy
-    /// knobs for each family.
+    /// knobs for each family. `hopts.parallel` and `hopts.scalar_kernels`
+    /// apply to both families.
     pub fn execute_sql_with(
         &self,
         sql: &str,
@@ -715,36 +679,42 @@ impl<'a> PercentageEngine<'a> {
         hopts: &HorizontalOptions,
         limits: QueryLimits,
     ) -> Result<SqlOutcome> {
-        let stmt = pa_sql::parse(sql)?;
+        Ok(self
+            .run_sql(&pa_sql::parse(sql)?, limits, Some((vstrat, hopts)), None)?
+            .0)
+    }
+
+    /// The one SQL body behind every `execute_sql*` entry point: flat
+    /// statements run here, lattice-grouped ones in
+    /// [`PercentageEngine::execute_grouping_sets`]. `knobs` carries the
+    /// explicit per-family strategy options; `None` picks them
+    /// heuristically.
+    fn run_sql(
+        &self,
+        stmt: &pa_sql::SelectStmt,
+        limits: QueryLimits,
+        knobs: Option<(&VpctStrategy, &HorizontalOptions)>,
+        tracer: Option<Tracer>,
+    ) -> Result<(SqlOutcome, Option<TraceReport>)> {
         if !stmt.grouping.is_flat() {
-            return Ok(self
-                .execute_grouping_sets(&stmt, limits, Some(vstrat), Some(hopts), None)?
-                .0);
+            return self.execute_grouping_sets(stmt, limits, knobs, tracer);
         }
-        let mut query = from_sql(&stmt)?;
+        let mut query = from_sql(stmt)?;
         let _pin = self.pin_query(&mut query);
-        // An options-level deadline only applies to the family it belongs
-        // to.
-        let opt_deadline = match &query {
-            Query::Horizontal(_) => hopts.deadline,
-            Query::Vertical(_) => None,
-        };
-        let (mut outcome, charged) =
-            self.run_query("execute_sql", limits, opt_deadline, |prefix, guard| {
+        let default_opts = HorizontalOptions::default();
+        let opts = knobs.map_or(&default_opts, |(_, hopts)| hopts);
+        let (mut outcome, charged, report) =
+            self.run_query("execute_sql", limits, opts, tracer, |prefix, guard| {
                 let mut query = query;
-                self.apply_where(&stmt, &mut query, prefix, guard)?;
+                self.apply_where(stmt, &mut query, prefix, guard)?;
                 let outcome = match query {
-                    Query::Vertical(q) => SqlOutcome::Vertical(eval_vpct_guarded(
-                        self.catalog,
+                    Query::Vertical(q) => SqlOutcome::Vertical(match knobs {
+                        Some((vstrat, _)) => eval_vpct(self.catalog, &q, vstrat, prefix, guard)?,
+                        None => self.eval_vertical(&q, prefix, guard)?,
+                    }),
+                    Query::Horizontal(q) => SqlOutcome::Horizontal(self.eval_horizontal_opts(
                         &q,
-                        vstrat,
-                        prefix,
-                        guard,
-                    )?),
-                    Query::Horizontal(q) => SqlOutcome::Horizontal(eval_horizontal_guarded(
-                        self.catalog,
-                        &q,
-                        hopts,
+                        knobs.map(|(_, hopts)| hopts),
                         prefix,
                         guard,
                     )?),
@@ -753,7 +723,7 @@ impl<'a> PercentageEngine<'a> {
                 Ok(outcome)
             })?;
         outcome.stats_mut().rows_charged = charged;
-        Ok(outcome)
+        Ok((outcome, report))
     }
 
     /// Materialize the WHERE-filtered fact table as a view-like temporary
@@ -825,15 +795,16 @@ impl<'a> PercentageEngine<'a> {
         &self,
         stmt: &pa_sql::SelectStmt,
         limits: QueryLimits,
-        vstrat: Option<&VpctStrategy>,
-        hopts: Option<&HorizontalOptions>,
+        knobs: Option<(&VpctStrategy, &HorizontalOptions)>,
         tracer: Option<Tracer>,
     ) -> Result<(SqlOutcome, Option<TraceReport>)> {
         let plans = crate::query::per_set_statements(stmt)?;
         let mut pinned = stmt.from.clone();
         let _pin = self.pin_source(&mut pinned);
+        let default_opts = HorizontalOptions::default();
+        let opts = knobs.map_or(&default_opts, |(_, hopts)| hopts);
         let (mut outcome, charged, report) =
-            self.run_query_traced("execute_sql", limits, None, tracer, |prefix, guard| {
+            self.run_query("execute_sql", limits, opts, tracer, |prefix, guard| {
                 let source = self
                     .materialize_where(stmt, &pinned, prefix, guard)?
                     .unwrap_or_else(|| pinned.clone());
@@ -859,12 +830,14 @@ impl<'a> PercentageEngine<'a> {
                     match query {
                         Query::Vertical(q) => {
                             vertical = true;
-                            let r = match vstrat {
-                                Some(s) => eval_vpct_guarded(self.catalog, &q, s, prefix, guard)?,
+                            let r = match knobs {
+                                Some((vstrat, _)) => {
+                                    eval_vpct(self.catalog, &q, vstrat, prefix, guard)?
+                                }
                                 // Always the lattice evaluator (even for one
                                 // term): its cache is what lets the sets
                                 // share one scan.
-                                None => crate::lattice::eval_vpct_lattice_guarded(
+                                None => crate::lattice::eval_vpct_lattice(
                                     self.catalog,
                                     &q,
                                     prefix,
@@ -876,17 +849,12 @@ impl<'a> PercentageEngine<'a> {
                             results.push((set.clone(), r.table.read().clone()));
                         }
                         Query::Horizontal(q) => {
-                            let chosen;
-                            let opts = match hopts {
-                                Some(o) => o,
-                                None => {
-                                    chosen = HorizontalOptions::with_strategy(
-                                        choose_horizontal_strategy(self.catalog, &q)?,
-                                    );
-                                    &chosen
-                                }
-                            };
-                            let r = eval_horizontal_guarded(self.catalog, &q, opts, prefix, guard)?;
+                            let r = self.eval_horizontal_opts(
+                                &q,
+                                knobs.map(|(_, hopts)| hopts),
+                                prefix,
+                                guard,
+                            )?;
                             if r.partitions.len() != 1 {
                                 return Err(CoreError::Unsupported(
                                     "vertically partitioned horizontal results cannot be \
@@ -1691,14 +1659,10 @@ mod tests {
         assert!(!plain.last().unwrap().contains("charged="));
     }
 
-    #[test]
-    fn traced_hpct_op_rows_and_times_cover_the_query_serial_and_parallel() {
-        use crate::strategy::{HorizontalStrategy, ParallelMode};
-        use pa_engine::SpanRecord;
+    /// A `facts(state, city, amt)` table of 260 096 rows: four default-size
+    /// morsels, so `Threads(n)` crosses the serial threshold and fans out.
+    fn big_facts_catalog() -> Catalog {
         use pa_storage::{DataType, Schema, Table};
-
-        // Large enough that `Threads(4)` crosses the serial threshold and
-        // actually fans out (4 default-size morsels).
         let n: usize = 260_096;
         let schema = Schema::from_pairs(&[
             ("state", DataType::Int),
@@ -1718,6 +1682,51 @@ mod tests {
         }
         let catalog = Catalog::new();
         catalog.create_table("facts", f).unwrap();
+        catalog
+    }
+
+    #[test]
+    fn execute_sql_with_parallel_mode_governs_vpct_too() {
+        use crate::strategy::ParallelMode;
+
+        let catalog = big_facts_catalog();
+        let sql = "SELECT state, city, Vpct(amt BY city) FROM facts GROUP BY state, city;";
+        for (mode, want_workers) in [
+            (ParallelMode::Serial, false),
+            (ParallelMode::Threads(2), true),
+        ] {
+            // A tracer on the engine guard rides along to every query.
+            let tracer = Tracer::enabled(pa_engine::SystemClock::shared());
+            let guard = ResourceGuard::with_row_budget(u64::MAX).with_tracer(tracer.clone());
+            let engine = PercentageEngine::new(&catalog).with_guard(guard);
+            let hopts = HorizontalOptions {
+                parallel: mode,
+                ..HorizontalOptions::default()
+            };
+            engine
+                .execute_sql_with(sql, &VpctStrategy::best(), &hopts)
+                .unwrap();
+            let workers = tracer
+                .take_report()
+                .spans()
+                .iter()
+                .filter(|s| s.label == "worker")
+                .count();
+            if want_workers {
+                assert!(workers >= 2, "{mode:?}: Vpct scans fan out");
+            } else {
+                assert_eq!(workers, 0, "{mode:?}: Vpct runs on the serial path");
+            }
+        }
+    }
+
+    #[test]
+    fn traced_hpct_op_rows_and_times_cover_the_query_serial_and_parallel() {
+        use crate::strategy::{HorizontalStrategy, ParallelMode};
+        use pa_engine::SpanRecord;
+
+        let n: usize = 260_096;
+        let catalog = big_facts_catalog();
         let engine = PercentageEngine::new(&catalog);
         let q = crate::query::HorizontalQuery::hpct("facts", &["state"], "amt", &["city"]);
 

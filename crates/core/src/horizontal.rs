@@ -23,8 +23,8 @@ use crate::query::{ExtraAgg, HorizontalQuery};
 use crate::strategy::{HorizontalOptions, HorizontalStrategy};
 use crate::vertical::QueryResult;
 use pa_engine::{
-    create_table_as, distinct_keys, filter, hash_aggregate_with_config, hash_join_guarded, project,
-    AggFunc, AggSpec, ExecStats, Expr, JoinType, ParallelConfig, ProjSpec, ResourceGuard,
+    create_table_as, distinct_keys, filter, hash_aggregate, hash_join, project, AggFunc, AggSpec,
+    ExecStats, Expr, JoinType, ParallelConfig, ProjSpec, ResourceGuard,
 };
 use pa_storage::{Catalog, DataType, Schema, SharedTable, Table, Value};
 
@@ -157,20 +157,13 @@ impl Source<'_> {
 /// Evaluate a horizontal query under the given options. Temporaries are
 /// registered as `{prefix}FV`, `{prefix}F0`/`{prefix}F{i}` (SPJ) and the
 /// result as `{prefix}FH` (or `{prefix}FH_p0..` when partitioned).
+///
+/// Every aggregation scan, pivot group and join output row is charged
+/// against `guard`, so a runaway `Hpct` pivot fails with
+/// [`CoreError::BudgetExceeded`] instead of exhausting memory. The passes
+/// run under the guard's [`ParallelConfig`] with `opts.parallel` and
+/// `opts.scalar_kernels` applied over it.
 pub fn eval_horizontal(
-    catalog: &Catalog,
-    q: &HorizontalQuery,
-    opts: &HorizontalOptions,
-    prefix: &str,
-) -> Result<HorizontalResult> {
-    eval_horizontal_guarded(catalog, q, opts, prefix, &ResourceGuard::unlimited())
-}
-
-/// [`eval_horizontal`] under a [`ResourceGuard`]: every aggregation scan,
-/// pivot group and join output row is charged against the guard, so a
-/// runaway `Hpct` pivot fails with [`CoreError::BudgetExceeded`] instead of
-/// exhausting memory.
-pub fn eval_horizontal_guarded(
     catalog: &Catalog,
     q: &HorizontalQuery,
     opts: &HorizontalOptions,
@@ -184,12 +177,11 @@ pub fn eval_horizontal_guarded(
     let f_guard = f_shared.read();
     let f_schema = f_guard.schema().clone();
     // One parallelism decision per query, sized on the fact table; every
-    // aggregation pass of this evaluation shares it (the engine still
-    // drops small intermediate inputs like FV to the serial path).
-    let mut par = crate::optimizer::choose_parallelism(opts.parallel, f_guard.num_rows());
-    if opts.scalar_kernels {
-        par.vector = false;
-    }
+    // aggregation pass of this evaluation shares it through the guard (the
+    // engine still drops small intermediate inputs like FV to the serial
+    // path).
+    let par = opts.parallel_config(*guard.config(), f_guard.num_rows());
+    let guard = &guard.clone().with_config(par);
 
     for term in &q.terms {
         for b in &term.by {
@@ -216,23 +208,16 @@ pub fn eval_horizontal_guarded(
     let (source, j_cols): (Source<'_>, Vec<usize>) = if opts.strategy.uses_fv() {
         // Holistic aggregates cannot be re-aggregated from the FV partial
         // (Gray et al.): reject rather than silently double-count.
-        for term in q.terms.iter() {
-            if term.func.is_holistic() {
-                return Err(CoreError::Unsupported(format!(
-                    "{} is holistic and cannot use an FV-based strategy; \
-                     evaluate it with CaseDirect or SpjDirect",
-                    term.func.display_name()
-                )));
-            }
-        }
-        for extra in &q.extra {
-            if extra.func.is_holistic() {
-                return Err(CoreError::Unsupported(format!(
-                    "{} is holistic and cannot use an FV-based strategy; \
-                     evaluate it with CaseDirect or SpjDirect",
-                    extra.func.display_name()
-                )));
-            }
+        let funcs = q.terms.iter().map(|t| t.func);
+        if let Some(func) = funcs
+            .chain(q.extra.iter().map(|e| e.func))
+            .find(|f| f.is_holistic())
+        {
+            return Err(CoreError::Unsupported(format!(
+                "{} is holistic and cannot use an FV-based strategy; \
+                 evaluate it with CaseDirect or SpjDirect",
+                func.display_name()
+            )));
         }
         // FV keys: group_by then each term's by columns (deduped).
         let mut key_names: Vec<String> = q.group_by.clone();
@@ -291,8 +276,7 @@ pub fn eval_horizontal_guarded(
                 }
             }
         }
-        let fv =
-            hash_aggregate_with_config(&f_guard, &key_cols_f, &specs, guard, &mut stats, &par)?;
+        let fv = hash_aggregate(&f_guard, &key_cols_f, &specs, guard, &mut stats)?;
         drop(f_guard);
         create_table_as(catalog, &format!("{prefix}FV"), fv.clone(), &mut stats)?;
 
@@ -444,37 +428,29 @@ pub fn eval_horizontal_guarded(
                         .is_some()
                 });
             if opts.hash_dispatch || dense_eligible {
-                let pivot_par = if opts.hash_dispatch {
-                    ParallelConfig {
-                        dense_budget: 0,
-                        ..par
-                    }
+                let dense_budget = if opts.hash_dispatch {
+                    0
                 } else {
-                    par
+                    par.dense_budget
                 };
+                let pivot_guard = guard.clone().with_config(ParallelConfig {
+                    dense_budget,
+                    ..par
+                });
                 let flat_extras: Vec<(AggFunc, Expr)> = extra_specs_src
                     .iter()
                     .flat_map(|(lanes, _)| lanes.iter().cloned())
                     .collect();
-                crate::dispatch::pivot_aggregate_with_config(
+                crate::dispatch::pivot_aggregate(
                     src,
                     &j_cols,
                     &plans_as_tasks(&plans),
                     &flat_extras,
-                    guard,
+                    &pivot_guard,
                     &mut stats,
-                    &pivot_par,
                 )?
             } else {
-                case_raw(
-                    src,
-                    &j_cols,
-                    &plans,
-                    &extra_specs_src,
-                    guard,
-                    &mut stats,
-                    &par,
-                )?
+                case_raw(src, &j_cols, &plans, &extra_specs_src, guard, &mut stats)?
             }
         }
         HorizontalStrategy::SpjDirect | HorizontalStrategy::SpjFromFv => spj_raw(
@@ -486,7 +462,6 @@ pub fn eval_horizontal_guarded(
             prefix,
             guard,
             &mut stats,
-            &par,
         )?,
     };
     drop(source);
@@ -625,7 +600,6 @@ pub fn eval_horizontal_guarded(
 }
 
 /// CASE strategy: one aggregation pass with `N` CASE-guarded terms.
-#[allow(clippy::too_many_arguments)]
 fn case_raw(
     src: &Table,
     j_cols: &[usize],
@@ -633,7 +607,6 @@ fn case_raw(
     extras: &[(Vec<(AggFunc, Expr)>, Combine)],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
-    par: &ParallelConfig,
 ) -> Result<Table> {
     let mut specs: Vec<AggSpec> = Vec::new();
     for (t, plan) in plans.iter().enumerate() {
@@ -674,9 +647,7 @@ fn case_raw(
             specs.push(AggSpec::new(*func, input.clone(), format!("__x{e}_{l}")));
         }
     }
-    Ok(hash_aggregate_with_config(
-        src, j_cols, &specs, guard, stats, par,
-    )?)
+    Ok(hash_aggregate(src, j_cols, &specs, guard, stats)?)
 }
 
 /// SPJ strategy: `F0` = distinct groups; one filtered aggregation per
@@ -691,7 +662,6 @@ fn spj_raw(
     prefix: &str,
     guard: &ResourceGuard,
     stats: &mut ExecStats,
-    par: &ParallelConfig,
 ) -> Result<Table> {
     let j_len = j_cols.len();
     if j_len == 0 {
@@ -712,13 +682,12 @@ fn spj_raw(
                 );
                 let filtered = filter(src, &pred, stats)?;
                 for (func, input) in &plan.lanes {
-                    let agg = hash_aggregate_with_config(
+                    let agg = hash_aggregate(
                         &filtered,
                         &[],
                         &[AggSpec::new(*func, input.clone(), "v")],
                         guard,
                         stats,
-                        par,
                     )?;
                     row.push(agg.get(0, 0));
                     fields.push(pa_storage::Field::new(
@@ -729,13 +698,12 @@ fn spj_raw(
                 }
             }
             if let Some(total) = &plan.total {
-                let agg = hash_aggregate_with_config(
+                let agg = hash_aggregate(
                     src,
                     &[],
                     &[AggSpec::new(AggFunc::Sum, total.clone(), "t")],
                     guard,
                     stats,
-                    par,
                 )?;
                 row.push(agg.get(0, 0));
                 fields.push(pa_storage::Field::new(format!("__r{idx}"), DataType::Float));
@@ -744,13 +712,12 @@ fn spj_raw(
         }
         for (lanes, _) in extras {
             for (func, input) in lanes {
-                let agg = hash_aggregate_with_config(
+                let agg = hash_aggregate(
                     src,
                     &[],
                     &[AggSpec::new(*func, input.clone(), "e")],
                     guard,
                     stats,
-                    par,
                 )?;
                 row.push(agg.get(0, 0));
                 fields.push(pa_storage::Field::new(
@@ -791,12 +758,12 @@ fn spj_raw(
                 .enumerate()
                 .map(|(l, (func, input))| AggSpec::new(*func, input.clone(), format!("v{l}")))
                 .collect();
-            let fi = hash_aggregate_with_config(&filtered, j_cols, &specs, guard, stats, par)?;
+            let fi = hash_aggregate(&filtered, j_cols, &specs, guard, stats)?;
             create_table_as(catalog, &format!("{prefix}F{spj_index}"), fi.clone(), stats)?;
             spj_index += 1;
             let base = joined.num_columns();
             let fi_keys: Vec<usize> = (0..j_len).collect();
-            joined = hash_join_guarded(
+            joined = hash_join(
                 &joined,
                 &fi,
                 &f0_keys,
@@ -811,16 +778,15 @@ fn spj_raw(
             }
         }
         if let Some(total) = &plan.total {
-            let fi = hash_aggregate_with_config(
+            let fi = hash_aggregate(
                 src,
                 j_cols,
                 &[AggSpec::new(AggFunc::Sum, total.clone(), "t")],
                 guard,
                 stats,
-                par,
             )?;
             let base = joined.num_columns();
-            joined = hash_join_guarded(
+            joined = hash_join(
                 &joined,
                 &fi,
                 &f0_keys,
@@ -839,9 +805,9 @@ fn spj_raw(
             .enumerate()
             .map(|(l, (func, input))| AggSpec::new(*func, input.clone(), format!("e{l}")))
             .collect();
-        let fi = hash_aggregate_with_config(src, j_cols, &specs, guard, stats, par)?;
+        let fi = hash_aggregate(src, j_cols, &specs, guard, stats)?;
         let base = joined.num_columns();
-        joined = hash_join_guarded(
+        joined = hash_join(
             &joined,
             &fi,
             &f0_keys,
@@ -895,6 +861,9 @@ mod tests {
     use super::*;
     use crate::query::{HorizontalTerm, Measure};
     use pa_engine::AggFunc;
+
+    /// The unlimited guard the direct operator calls below run under.
+    const G: ResourceGuard = ResourceGuard::unlimited();
 
     /// A small version of the store/day-of-week table behind SIGMOD Table 3.
     fn store_sales_catalog() -> Catalog {
@@ -971,7 +940,7 @@ mod tests {
     fn paper_table3_every_strategy() {
         for (i, opts) in all_option_sets().into_iter().enumerate() {
             let catalog = store_sales_catalog();
-            let result = eval_horizontal(&catalog, &hpct_query(), &opts, "t_")
+            let result = eval_horizontal(&catalog, &hpct_query(), &opts, "t_", &G)
                 .unwrap_or_else(|e| panic!("options {i}: {e}"));
             check_table3_shape(&result);
         }
@@ -980,8 +949,14 @@ mod tests {
     #[test]
     fn percentage_rows_sum_to_one() {
         let catalog = store_sales_catalog();
-        let result =
-            eval_horizontal(&catalog, &hpct_query(), &HorizontalOptions::default(), "s_").unwrap();
+        let result = eval_horizontal(
+            &catalog,
+            &hpct_query(),
+            &HorizontalOptions::default(),
+            "s_",
+            &G,
+        )
+        .unwrap();
         let t = result.snapshot();
         for r in 0..t.num_rows() {
             let sum = match (t.get(r, 1), t.get(r, 2)) {
@@ -996,14 +971,16 @@ mod tests {
     fn hagg_missing_cells_are_null_unless_default_zero() {
         let catalog = store_sales_catalog();
         let q = HorizontalQuery::hagg("sales", &["store"], AggFunc::Sum, "salesAmt", &["dweek"]);
-        let result = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "n_").unwrap();
+        let result =
+            eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "n_", &G).unwrap();
         let t = result.snapshot().sorted_by(&[0]);
         assert_eq!(t.get(1, 1), Value::Null, "store 4 Monday: NULL per DMKD");
         assert_eq!(t.get(1, 2), Value::Float(800.0));
 
         let mut qz = q.clone();
         qz.terms[0] = qz.terms[0].clone().with_default_zero();
-        let result = eval_horizontal(&catalog, &qz, &HorizontalOptions::default(), "z_").unwrap();
+        let result =
+            eval_horizontal(&catalog, &qz, &HorizontalOptions::default(), "z_", &G).unwrap();
         let t = result.snapshot().sorted_by(&[0]);
         assert_eq!(t.get(1, 1), Value::Float(0.0), "DEFAULT 0");
     }
@@ -1021,7 +998,7 @@ mod tests {
             for opts in all_option_sets() {
                 let catalog = store_sales_catalog();
                 let q = HorizontalQuery::hagg("sales", &["store"], func, "salesAmt", &["dweek"]);
-                let result = eval_horizontal(&catalog, &q, &opts, "a_")
+                let result = eval_horizontal(&catalog, &q, &opts, "a_", &G)
                     .unwrap_or_else(|e| panic!("{func:?} {}: {e}", opts.strategy.label()));
                 let rows: Vec<Vec<Value>> = result.snapshot().sorted_by(&[0]).rows().collect();
                 match &reference {
@@ -1051,7 +1028,8 @@ mod tests {
             ],
             extra: vec![],
         };
-        let result = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "b_").unwrap();
+        let result =
+            eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "b_", &G).unwrap();
         let t = result.snapshot().sorted_by(&[0]);
         // Store 2: bought both days → 1,1. Store 4: 0,1. Store 7: 1,0.
         assert_eq!(t.get(0, 1), Value::Int(1));
@@ -1067,7 +1045,7 @@ mod tests {
         for opts in all_option_sets() {
             let catalog = store_sales_catalog();
             let q = HorizontalQuery::hpct("sales", &[], "salesAmt", &["dweek"]);
-            let result = eval_horizontal(&catalog, &q, &opts, "g_")
+            let result = eval_horizontal(&catalog, &q, &opts, "g_", &G)
                 .unwrap_or_else(|e| panic!("{}: {e}", opts.strategy.label()));
             let t = result.snapshot();
             assert_eq!(t.num_rows(), 1, "{}", opts.strategy.label());
@@ -1089,7 +1067,8 @@ mod tests {
             ],
             extra: vec![],
         };
-        let result = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "m_").unwrap();
+        let result =
+            eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "m_", &G).unwrap();
         let t = result.snapshot().sorted_by(&[0]);
         assert_eq!(t.num_columns(), 5);
         assert!(t.schema().field_at(1).name.starts_with("hpct_salesAmt:"));
@@ -1107,7 +1086,7 @@ mod tests {
             ..HorizontalOptions::default()
         };
         assert!(matches!(
-            eval_horizontal(&catalog, &q, &strict, "l_"),
+            eval_horizontal(&catalog, &q, &strict, "l_", &G),
             Err(CoreError::TooManyColumns {
                 needed: 4,
                 limit: 3
@@ -1119,7 +1098,7 @@ mod tests {
             allow_partitioning: true,
             ..HorizontalOptions::default()
         };
-        let result = eval_horizontal(&catalog, &q, &partitioned, "p_").unwrap();
+        let result = eval_horizontal(&catalog, &q, &partitioned, "p_", &G).unwrap();
         assert_eq!(result.partitions.len(), 2);
         for part in &result.partitions {
             let t = part.read();
@@ -1157,6 +1136,7 @@ mod tests {
                 ..HorizontalOptions::default()
             },
             "c1_",
+            &G,
         )
         .unwrap();
         assert!(
@@ -1168,7 +1148,7 @@ mod tests {
         // aggregation — only the CASE evaluation itself avoids the pivot.)
         // Default: the jump table pays only the post-projection guards —
         // independent of n — and every lookup pass runs dense.
-        let jump = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "c2_").unwrap();
+        let jump = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "c2_", &G).unwrap();
         assert_eq!(jump.stats.case_condition_evals, 12);
         assert!(jump.stats.dense_group_ops > 0, "{}", jump.stats);
         assert_eq!(jump.stats.hash_group_ops, 0, "{}", jump.stats);
@@ -1181,6 +1161,7 @@ mod tests {
                 ..HorizontalOptions::default()
             },
             "c3_",
+            &G,
         )
         .unwrap();
         assert_eq!(dispatch.stats.case_condition_evals, 12);
@@ -1193,7 +1174,8 @@ mod tests {
     fn combo_cache_serves_repeat_queries_and_mutations_invalidate() {
         let catalog = store_sales_catalog();
         let q = hpct_query();
-        let first = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "k1_").unwrap();
+        let first =
+            eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "k1_", &G).unwrap();
         assert_eq!(first.stats.combo_cache_misses, 1, "{}", first.stats);
         assert_eq!(first.stats.combo_cache_hits, 0);
         // Same table + BY dims, different strategy: served from cache.
@@ -1202,6 +1184,7 @@ mod tests {
             &q,
             &HorizontalOptions::with_strategy(HorizontalStrategy::CaseFromFv),
             "k2_",
+            &G,
         )
         .unwrap();
         assert_eq!(second.stats.combo_cache_hits, 1, "{}", second.stats);
@@ -1217,7 +1200,8 @@ mod tests {
         wed.push_row(&[Value::Int(2), Value::str("Wed"), Value::Float(50.0)])
             .unwrap();
         pa_engine::insert_into(&catalog, "sales", &wed, &mut ExecStats::default()).unwrap();
-        let third = eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "k3_").unwrap();
+        let third =
+            eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "k3_", &G).unwrap();
         assert_eq!(third.stats.combo_cache_misses, 1, "{}", third.stats);
         let t = third.snapshot();
         assert_eq!(t.num_columns(), 5, "Wed became a column");
@@ -1233,6 +1217,7 @@ mod tests {
             &q,
             &HorizontalOptions::with_strategy(HorizontalStrategy::CaseDirect),
             "x1_",
+            &G,
         )
         .unwrap();
         let spj = eval_horizontal(
@@ -1240,6 +1225,7 @@ mod tests {
             &q,
             &HorizontalOptions::with_strategy(HorizontalStrategy::SpjDirect),
             "x2_",
+            &G,
         )
         .unwrap();
         assert!(
@@ -1262,6 +1248,7 @@ mod tests {
             &hpct_query(),
             &HorizontalOptions::with_strategy(HorizontalStrategy::CaseFromFv),
             "st_",
+            &G,
         )
         .unwrap();
         assert!(result.statements[0].contains("INSERT INTO FV"));
@@ -1273,9 +1260,9 @@ mod tests {
     fn unknown_columns_rejected() {
         let catalog = store_sales_catalog();
         let q = HorizontalQuery::hpct("sales", &["store"], "nope", &["dweek"]);
-        assert!(eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "e_").is_err());
+        assert!(eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "e_", &G).is_err());
         let q = HorizontalQuery::hpct("sales", &["store"], "salesAmt", &["nope"]);
-        assert!(eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "e_").is_err());
+        assert!(eval_horizontal(&catalog, &q, &HorizontalOptions::default(), "e_", &G).is_err());
     }
 
     #[test]
@@ -1296,7 +1283,7 @@ mod tests {
         catalog.create_table("f", t).unwrap();
         let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
         for opts in all_option_sets() {
-            let result = eval_horizontal(&catalog, &q, &opts, "nu_")
+            let result = eval_horizontal(&catalog, &q, &opts, "nu_", &G)
                 .unwrap_or_else(|e| panic!("{}: {e}", opts.strategy.label()));
             let t = result.snapshot();
             assert_eq!(t.num_columns(), 3, "{}", opts.strategy.label());
@@ -1324,7 +1311,7 @@ mod tests {
         catalog.create_table("f", t).unwrap();
         let q = HorizontalQuery::hpct("f", &["g"], "a", &["d"]);
         for opts in all_option_sets() {
-            let result = eval_horizontal(&catalog, &q, &opts, "zz_").unwrap();
+            let result = eval_horizontal(&catalog, &q, &opts, "zz_", &G).unwrap();
             let t = result.snapshot();
             assert_eq!(t.get(0, 1), Value::Null, "{}", opts.strategy.label());
             assert_eq!(t.get(0, 2), Value::Null);

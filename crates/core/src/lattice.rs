@@ -15,7 +15,7 @@
 //!
 //! * When the fact table must be scanned at all, every uncached level
 //!   *rides the same scan* through the fused multi-level kernel
-//!   ([`pa_engine::lattice_aggregate_guarded`]): one pass codes each row
+//!   ([`pa_engine::lattice_aggregate`]): one pass codes each row
 //!   once and scatters every measure into every level's accumulators.
 //! * Each level's merged partial is serialized into the catalog's
 //!   [`pa_storage::LatticeCache`], so a later query at the same level — or
@@ -35,8 +35,8 @@ use crate::error::{CoreError, Result};
 use crate::query::{VpctQuery, VpctTerm};
 use crate::vertical::QueryResult;
 use pa_engine::{
-    create_table_as, hash_join_guarded, lattice_aggregate_guarded, multi_hash_aggregate_guarded,
-    AggFunc, AggSpec, ExecStats, Expr, JoinType, ProjSpec, ResourceGuard, ShardPartial,
+    create_table_as, hash_aggregate, hash_join, lattice_aggregate, AggFunc, AggSpec, ExecStats,
+    Expr, JoinType, ProjSpec, ResourceGuard, ShardPartial,
 };
 use pa_storage::{Catalog, Column, DataType, Field, FxHashMap, LatticeEntry, Schema, Table, Value};
 use std::collections::HashMap;
@@ -352,11 +352,7 @@ fn reaggregate_level(
             Ok(AggSpec::new(AggFunc::Sum, Expr::Col(pos), t.name.clone()))
         })
         .collect::<Result<Vec<_>>>()?;
-    Ok(
-        multi_hash_aggregate_guarded(src, &[(group_cols, specs)], guard, stats)?
-            .pop()
-            .expect("one level"),
-    )
+    Ok(hash_aggregate(src, &group_cols, &specs, guard, stats)?)
 }
 
 /// Position of `name` in `t`'s schema, matching case-insensitively (the
@@ -485,13 +481,9 @@ fn pct_lane(
 /// same table as [`crate::eval_vpct`]; identical totals levels across
 /// terms are computed once, and each freshly scanned level's partial is
 /// cached for later queries.
-pub fn eval_vpct_lattice(catalog: &Catalog, q: &VpctQuery, prefix: &str) -> Result<QueryResult> {
-    eval_vpct_lattice_guarded(catalog, q, prefix, &ResourceGuard::unlimited())
-}
-
-/// [`eval_vpct_lattice`] with an explicit [`ResourceGuard`] metering every
-/// aggregate and join in the lattice plan.
-pub fn eval_vpct_lattice_guarded(
+///
+/// `guard` meters every aggregate and join in the lattice plan.
+pub fn eval_vpct_lattice(
     catalog: &Catalog,
     q: &VpctQuery,
     prefix: &str,
@@ -584,7 +576,7 @@ pub fn eval_vpct_lattice_guarded(
             .iter()
             .map(|&i| level_dims(&steps[i].level, &q.group_by))
             .collect();
-        match lattice_aggregate_guarded(&f, &k_cols, &fk_specs, &dims, guard, &mut stats)? {
+        match lattice_aggregate(&f, &k_cols, &fk_specs, &dims, guard, &mut stats)? {
             Some(partials) => {
                 stats.levels_from_scan += partials.len() as u64;
                 for (&i, partial) in scan_idx.iter().zip(partials) {
@@ -598,10 +590,7 @@ pub fn eval_vpct_lattice_guarded(
                 }
             }
             None => {
-                let fk =
-                    multi_hash_aggregate_guarded(&f, &[(k_cols, fk_specs)], guard, &mut stats)?
-                        .pop()
-                        .expect("one level");
+                let fk = hash_aggregate(&f, &k_cols, &fk_specs, guard, &mut stats)?;
                 stats.levels_from_scan += 1;
                 scan_tables.insert(0, fk);
             }
@@ -722,7 +711,7 @@ pub fn eval_vpct_lattice_guarded(
         // Level tables carry one re-aggregated sum per term, in term order;
         // term t's total lands just past the joined-in key columns.
         let total_pos = cur.num_columns() + j_len + t;
-        cur = hash_join_guarded(
+        cur = hash_join(
             &cur,
             fj,
             &cur_keys,
@@ -823,18 +812,10 @@ pub fn lattice_plan_lines(catalog: &Catalog, q: &VpctQuery, cache_table: &str) -
 /// whose union is covered by a cached partial) never rescans the fact
 /// table. Queries must share the table and carry no extra aggregate terms.
 /// Results are returned in input order and registered as `{prefix}q{i}_FV`.
+///
+/// `guard` is shared across the whole batch: the summary scan and every
+/// per-query evaluation draw from the same row budget.
 pub fn eval_vpct_batch(
-    catalog: &Catalog,
-    queries: &[VpctQuery],
-    prefix: &str,
-) -> Result<Vec<QueryResult>> {
-    eval_vpct_batch_guarded(catalog, queries, prefix, &ResourceGuard::unlimited())
-}
-
-/// [`eval_vpct_batch`] with an explicit [`ResourceGuard`] shared across the
-/// whole batch: the summary scan and every per-query evaluation draw from
-/// the same row budget.
-pub fn eval_vpct_batch_guarded(
     catalog: &Catalog,
     queries: &[VpctQuery],
     prefix: &str,
@@ -950,7 +931,7 @@ pub fn eval_vpct_batch_guarded(
         }
     } else {
         let dims: Vec<Vec<usize>> = levels.iter().map(|l| level_dims(l, &union_cols)).collect();
-        match lattice_aggregate_guarded(&f, &union_idx, &specs, &dims, guard, &mut stats)? {
+        match lattice_aggregate(&f, &union_idx, &specs, &dims, guard, &mut stats)? {
             Some(partials) => {
                 stats.levels_from_scan += partials.len() as u64;
                 for (l, partial) in levels.iter().zip(partials) {
@@ -965,14 +946,7 @@ pub fn eval_vpct_batch_guarded(
                 // sorted into the canonical order; coarser levels re-derive
                 // from it below.
                 stats.levels_from_scan += 1;
-                let t = multi_hash_aggregate_guarded(
-                    &f,
-                    &[(union_idx.clone(), specs.clone())],
-                    guard,
-                    &mut stats,
-                )?
-                .pop()
-                .expect("one level");
+                let t = hash_aggregate(&f, &union_idx, &specs, guard, &mut stats)?;
                 let key_cols: Vec<usize> = (0..union_cols.len()).collect();
                 level_tables.insert(union_level.clone(), t.sorted_by(&key_cols));
             }
@@ -1017,9 +991,7 @@ pub fn eval_vpct_batch_guarded(
                     )
                 })
                 .collect();
-            multi_hash_aggregate_guarded(src, &[(group_cols, mspecs)], guard, &mut stats)?
-                .pop()
-                .expect("one level")
+            hash_aggregate(src, &group_cols, &mspecs, guard, &mut stats)?
         };
         let key_cols: Vec<usize> = (0..l.arity()).collect();
         level_tables.insert(l, derived.sorted_by(&key_cols));
@@ -1096,6 +1068,9 @@ mod tests {
     use crate::vertical::eval_vpct;
     use crate::vertical::tests::sales_catalog;
     use pa_storage::Value;
+
+    /// The unlimited guard the direct operator calls below run under.
+    const G: ResourceGuard = ResourceGuard::unlimited();
 
     fn level(cols: &[&str]) -> Level {
         Level::new(&cols.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -1231,8 +1206,8 @@ mod tests {
             ],
             extra: vec![],
         };
-        let reference = eval_vpct(&catalog, &q, &VpctStrategy::best(), "r_").unwrap();
-        let lattice = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        let reference = eval_vpct(&catalog, &q, &VpctStrategy::best(), "r_", &G).unwrap();
+        let lattice = eval_vpct_lattice(&catalog, &q, "l_", &G).unwrap();
         let a: Vec<Vec<Value>> = reference.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = lattice.snapshot().sorted_by(&[0, 1]).rows().collect();
         assert_eq!(a, b);
@@ -1252,8 +1227,8 @@ mod tests {
             }],
             extra: vec![],
         };
-        let per_term = eval_vpct(&catalog, &q, &VpctStrategy::best(), "p_").unwrap();
-        let lattice = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        let per_term = eval_vpct(&catalog, &q, &VpctStrategy::best(), "p_", &G).unwrap();
+        let lattice = eval_vpct_lattice(&catalog, &q, "l_", &G).unwrap();
         let a: Vec<Vec<Value>> = per_term.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = lattice.snapshot().sorted_by(&[0, 1]).rows().collect();
         assert_eq!(a, b);
@@ -1279,11 +1254,11 @@ mod tests {
         };
         // Totals levels: BY city → {state}; BY state,city → {} (the grand
         // total, which derives and never scans). Three levels in all.
-        let cold = eval_vpct_lattice(&catalog, &q, "c_").unwrap();
+        let cold = eval_vpct_lattice(&catalog, &q, "c_", &G).unwrap();
         assert_eq!(cold.stats.lattice_levels, 3);
         assert_eq!(cold.stats.levels_from_scan, 2, "root and {{state}}");
         assert_eq!(cold.stats.levels_from_cache, 0);
-        let warm = eval_vpct_lattice(&catalog, &q, "w_").unwrap();
+        let warm = eval_vpct_lattice(&catalog, &q, "w_", &G).unwrap();
         assert_eq!(warm.stats.levels_from_scan, 0, "no rescan when cached");
         assert_eq!(
             warm.stats.levels_from_cache, 3,
@@ -1307,7 +1282,7 @@ mod tests {
             terms: vec![fine_term],
             extra: vec![],
         };
-        eval_vpct_lattice(&catalog, &fine, "f_").unwrap();
+        eval_vpct_lattice(&catalog, &fine, "f_", &G).unwrap();
         // Coarse query at {city}: not cached exactly, but {city} ⊂ the
         // cached {city,state} partial — served by re-aggregating it, never
         // rescanning the fact table.
@@ -1319,7 +1294,7 @@ mod tests {
             terms: vec![coarse_term],
             extra: vec![],
         };
-        let result = eval_vpct_lattice(&catalog, &coarse, "g_").unwrap();
+        let result = eval_vpct_lattice(&catalog, &coarse, "g_", &G).unwrap();
         assert_eq!(result.stats.levels_from_scan, 0, "no fact scan");
         assert!(result.stats.levels_from_cache > 0);
         // Against the direct reference.
@@ -1335,6 +1310,7 @@ mod tests {
             },
             &VpctStrategy::best(),
             "r_",
+            &G,
         )
         .unwrap();
         let a: Vec<Vec<Value>> = reference.snapshot().sorted_by(&[0]).rows().collect();
@@ -1364,7 +1340,7 @@ mod tests {
             ]
         );
         let before = catalog.lattice_cache().stats();
-        eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        eval_vpct_lattice(&catalog, &q, "l_", &G).unwrap();
         let warm = lattice_plan_lines(&catalog, &q, "sales");
         assert_eq!(
             warm,
@@ -1384,11 +1360,11 @@ mod tests {
         let catalog = sales_catalog();
         let q1 = VpctQuery::single("sales", &["state", "city"], "salesAmt", &["city"]);
         let q2 = VpctQuery::single("sales", &["state"], "salesAmt", &[]);
-        let results = eval_vpct_batch(&catalog, &[q1.clone(), q2.clone()], "b_").unwrap();
+        let results = eval_vpct_batch(&catalog, &[q1.clone(), q2.clone()], "b_", &G).unwrap();
         assert_eq!(results.len(), 2);
         // Batched results equal per-query evaluation.
         for (q, r) in [(q1, &results[0]), (q2, &results[1])] {
-            let solo = eval_vpct(&catalog, &q, &VpctStrategy::best(), "s_").unwrap();
+            let solo = eval_vpct(&catalog, &q, &VpctStrategy::best(), "s_", &G).unwrap();
             let a: Vec<Vec<Value>> = solo.snapshot().sorted_by(&[0, 1]).rows().collect();
             let b: Vec<Vec<Value>> = r.snapshot().sorted_by(&[0, 1]).rows().collect();
             assert_eq!(a, b, "{}", q.terms[0].name);
@@ -1403,9 +1379,9 @@ mod tests {
             VpctQuery::single("sales", &["state", "city"], "salesAmt", &["city"]),
             VpctQuery::single("sales", &["state"], "salesAmt", &[]),
         ];
-        let first = eval_vpct_batch(&catalog, &qs, "b1_").unwrap();
+        let first = eval_vpct_batch(&catalog, &qs, "b1_", &G).unwrap();
         assert!(first[0].stats.levels_from_scan > 0);
-        let second = eval_vpct_batch(&catalog, &qs, "b2_").unwrap();
+        let second = eval_vpct_batch(&catalog, &qs, "b2_", &G).unwrap();
         assert!(second[0].stats.levels_from_cache > 0, "summary from cache");
         assert_eq!(second[0].stats.levels_from_scan, 0);
         for (a, b) in first.iter().zip(&second) {
@@ -1422,24 +1398,24 @@ mod tests {
         let mut q2 = q1.clone();
         q2.table = "other".into();
         assert!(matches!(
-            eval_vpct_batch(&catalog, &[q1.clone(), q2], "x_"),
+            eval_vpct_batch(&catalog, &[q1.clone(), q2], "x_", &G),
             Err(CoreError::Unsupported(_))
         ));
         let mut q3 = q1.clone();
         q3.extra.push(crate::query::ExtraAgg::count_star("n"));
         assert!(matches!(
-            eval_vpct_batch(&catalog, &[q3], "x_"),
+            eval_vpct_batch(&catalog, &[q3], "x_", &G),
             Err(CoreError::Unsupported(_))
         ));
-        assert!(eval_vpct_batch(&catalog, &[], "x_").unwrap().is_empty());
+        assert!(eval_vpct_batch(&catalog, &[], "x_", &G).unwrap().is_empty());
     }
 
     #[test]
     fn single_term_lattice_equals_reference() {
         let catalog = sales_catalog();
         let q = VpctQuery::single("sales", &["state", "city"], "salesAmt", &["city"]);
-        let reference = eval_vpct(&catalog, &q, &VpctStrategy::best(), "r_").unwrap();
-        let lattice = eval_vpct_lattice(&catalog, &q, "l_").unwrap();
+        let reference = eval_vpct(&catalog, &q, &VpctStrategy::best(), "r_", &G).unwrap();
+        let lattice = eval_vpct_lattice(&catalog, &q, "l_", &G).unwrap();
         let a: Vec<Vec<Value>> = reference.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = lattice.snapshot().sorted_by(&[0, 1]).rows().collect();
         assert_eq!(a, b);
@@ -1454,7 +1430,7 @@ mod tests {
             terms: vec![VpctTerm::new("salesAmt", &[])],
             extra: vec![],
         };
-        let result = eval_vpct_lattice(&catalog, &q, "g_").unwrap();
+        let result = eval_vpct_lattice(&catalog, &q, "g_", &G).unwrap();
         let t = result.snapshot().sorted_by(&[0]);
         assert_eq!(t.get(0, 1), Value::Float(106.0 / 255.0));
         assert_eq!(t.get(1, 1), Value::Float(149.0 / 255.0));
@@ -1469,14 +1445,14 @@ mod tests {
             terms: vec![VpctTerm::new("salesAmt", &["city"])],
             extra: vec![crate::query::ExtraAgg::count_star("n")],
         };
-        let reference = eval_vpct(&catalog, &q, &VpctStrategy::best(), "r_").unwrap();
-        let cold = eval_vpct_lattice(&catalog, &q, "c_").unwrap();
+        let reference = eval_vpct(&catalog, &q, &VpctStrategy::best(), "r_", &G).unwrap();
+        let cold = eval_vpct_lattice(&catalog, &q, "c_", &G).unwrap();
         let a: Vec<Vec<Value>> = reference.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = cold.snapshot().sorted_by(&[0, 1]).rows().collect();
         assert_eq!(a, b);
         // The exact root partial (terms + extras lanes) is cacheable even
         // though re-aggregating extras from an ancestor is not.
-        let warm = eval_vpct_lattice(&catalog, &q, "w_").unwrap();
+        let warm = eval_vpct_lattice(&catalog, &q, "w_", &G).unwrap();
         assert!(warm.stats.levels_from_cache > 0);
         assert_eq!(warm.stats.levels_from_scan, 0);
         let c: Vec<Vec<Value>> = warm.snapshot().sorted_by(&[0, 1]).rows().collect();

@@ -216,7 +216,11 @@ mod tests {
     use super::*;
     use crate::strategy::VpctStrategy;
     use crate::vertical::eval_vpct;
+    use pa_engine::ResourceGuard;
     use pa_storage::{DataType, Schema};
+
+    /// The unlimited guard the direct operator calls below run under.
+    const G: ResourceGuard = ResourceGuard::unlimited();
 
     /// Stores × days with a hole: store 4 has no Monday rows.
     fn catalog() -> Catalog {
@@ -244,14 +248,14 @@ mod tests {
     #[test]
     fn ignore_leaves_hole() {
         let catalog = catalog();
-        let result = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "i_").unwrap();
+        let result = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "i_", &G).unwrap();
         assert_eq!(result.snapshot().num_rows(), 3, "store 4 Monday missing");
     }
 
     #[test]
     fn postprocess_appends_zero_percent_rows() {
         let catalog = catalog();
-        let result = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "p_").unwrap();
+        let result = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "p_", &G).unwrap();
         let mut stats = ExecStats::default();
         let added = postprocess_pad(&catalog, &q(), &result, &mut stats).unwrap();
         assert_eq!(added, 1);
@@ -282,7 +286,7 @@ mod tests {
             .unwrap();
         catalog.create_table("f", t).unwrap();
         let q = VpctQuery::single("f", &["g", "d"], "a", &["d"]);
-        let result = eval_vpct(&catalog, &q, &VpctStrategy::best(), "n_").unwrap();
+        let result = eval_vpct(&catalog, &q, &VpctStrategy::best(), "n_", &G).unwrap();
         let mut stats = ExecStats::default();
         postprocess_pad(&catalog, &q, &result, &mut stats).unwrap();
         let t = result.snapshot().sorted_by(&[0, 1]);
@@ -300,7 +304,7 @@ mod tests {
         let added = preprocess_pad(&catalog, &q(), &mut stats).unwrap();
         assert_eq!(added, 1);
         assert_eq!(catalog.table("sales").unwrap().read().num_rows(), 4);
-        let result = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "pre_").unwrap();
+        let result = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "pre_", &G).unwrap();
         let t = result.snapshot().sorted_by(&[0, 1]);
         assert_eq!(t.num_rows(), 4);
         assert_eq!(t.get(2, 2), Value::Float(0.0), "store 4 Monday now 0%");
@@ -314,7 +318,7 @@ mod tests {
         preprocess_pad(&catalog, &q(), &mut ExecStats::default()).unwrap();
         let count_q =
             VpctQuery::single("sales", &["store", "dweek"], Measure::LitInt(1), &["dweek"]);
-        let result = eval_vpct(&catalog, &count_q, &VpctStrategy::best(), "c_").unwrap();
+        let result = eval_vpct(&catalog, &count_q, &VpctStrategy::best(), "c_", &G).unwrap();
         let t = result.snapshot().sorted_by(&[0, 1]);
         // Store 4 truly has 1 transaction (Tue) → true Tue share is 100%,
         // but the padded Monday row drags it to 50%.

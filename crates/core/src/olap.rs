@@ -152,7 +152,11 @@ mod tests {
     use crate::strategy::VpctStrategy;
     use crate::vertical::eval_vpct;
     use crate::vertical::tests::sales_catalog;
+    use pa_engine::ResourceGuard;
     use pa_storage::Value;
+
+    /// The unlimited guard the direct operator calls below run under.
+    const G: ResourceGuard = ResourceGuard::unlimited();
 
     fn q() -> VpctQuery {
         VpctQuery::single("sales", &["state", "city"], "salesAmt", &["city"])
@@ -161,7 +165,7 @@ mod tests {
     #[test]
     fn olap_plan_matches_percentage_plan() {
         let catalog = sales_catalog();
-        let fast = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "a_").unwrap();
+        let fast = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "a_", &G).unwrap();
         let olap = eval_vpct_olap(&catalog, &q(), "b_").unwrap();
         let a: Vec<Vec<Value>> = fast.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = olap.snapshot().sorted_by(&[0, 1]).rows().collect();
@@ -171,7 +175,7 @@ mod tests {
     #[test]
     fn olap_plan_does_row_granular_work() {
         let catalog = sales_catalog();
-        let fast = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "a_").unwrap();
+        let fast = eval_vpct(&catalog, &q(), &VpctStrategy::best(), "a_", &G).unwrap();
         let olap = eval_vpct_olap(&catalog, &q(), "b_").unwrap();
         // The window plan sorts and materializes n-row intermediates.
         assert!(olap.stats.sort_comparisons > 0);
@@ -197,7 +201,7 @@ mod tests {
     fn literal_measure_uses_count_windows() {
         let catalog = sales_catalog();
         let q = VpctQuery::single("sales", &["state", "city"], Measure::LitInt(1), &["city"]);
-        let fast = eval_vpct(&catalog, &q, &VpctStrategy::best(), "c_").unwrap();
+        let fast = eval_vpct(&catalog, &q, &VpctStrategy::best(), "c_", &G).unwrap();
         let olap = eval_vpct_olap(&catalog, &q, "d_").unwrap();
         let a: Vec<Vec<Value>> = fast.snapshot().sorted_by(&[0, 1]).rows().collect();
         let b: Vec<Vec<Value>> = olap.snapshot().sorted_by(&[0, 1]).rows().collect();

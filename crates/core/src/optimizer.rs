@@ -80,17 +80,24 @@ pub fn choose_vpct_strategy(_catalog: &Catalog, _q: &VpctQuery) -> VpctStrategy 
     VpctStrategy::best()
 }
 
-/// Resolve a [`ParallelMode`] against the input size: the requested worker
-/// count (environment for `Auto`), with inputs below the serial threshold
-/// always taking the exact serial code path. The engine re-checks the
-/// threshold per operator; resolving here keeps one decision per query so
-/// every aggregation pass of one evaluation agrees.
-pub fn choose_parallelism(mode: ParallelMode, input_rows: usize) -> ParallelConfig {
-    let config = match mode {
-        ParallelMode::Auto => ParallelConfig::from_env(),
-        ParallelMode::Serial => ParallelConfig::serial(),
-        ParallelMode::Threads(n) => ParallelConfig::with_threads(n),
+/// Apply a [`ParallelMode`] over the `base` configuration (the guard's,
+/// resolved from the environment once per query) and the input size: `Auto`
+/// keeps the base worker count, `Serial` and `Threads(n)` override it, and
+/// inputs below the serial threshold always take the exact serial code
+/// path. The engine re-checks the threshold per operator; resolving here
+/// keeps one decision per query so every aggregation pass of one evaluation
+/// agrees.
+pub fn choose_parallelism(
+    mode: ParallelMode,
+    base: ParallelConfig,
+    input_rows: usize,
+) -> ParallelConfig {
+    let threads = match mode {
+        ParallelMode::Auto => base.threads,
+        ParallelMode::Serial => 1,
+        ParallelMode::Threads(n) => n.max(1),
     };
+    let config = ParallelConfig { threads, ..base };
     if config.effective_threads(input_rows) <= 1 {
         ParallelConfig {
             threads: 1,
@@ -244,13 +251,17 @@ mod tests {
     #[test]
     fn parallelism_resolution() {
         assert_eq!(
-            choose_parallelism(ParallelMode::Serial, 10_000_000).threads,
+            choose_parallelism(ParallelMode::Serial, ParallelConfig::serial(), 10_000_000).threads,
             1
         );
-        let forced = choose_parallelism(ParallelMode::Threads(4), 10_000_000);
+        let forced = choose_parallelism(
+            ParallelMode::Threads(4),
+            ParallelConfig::serial(),
+            10_000_000,
+        );
         assert_eq!(forced.threads, 4);
         assert_eq!(
-            choose_parallelism(ParallelMode::Threads(4), 100).threads,
+            choose_parallelism(ParallelMode::Threads(4), ParallelConfig::serial(), 100).threads,
             1,
             "small inputs resolve to the serial path"
         );

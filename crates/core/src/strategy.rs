@@ -1,5 +1,7 @@
 //! Evaluation strategies — the knobs SIGMOD Table 4/5 and DMKD Table 3 turn.
 
+use pa_engine::ParallelConfig;
+
 /// Where the coarse totals table `Fj` is aggregated from (SIGMOD Table 4,
 /// column 4 turns this off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,9 +143,10 @@ impl HorizontalStrategy {
 /// How the morsel-parallel scan layer is engaged for a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelMode {
-    /// Follow the environment (`PA_THREADS` etc. via
-    /// [`pa_engine::ParallelConfig::from_env`]); inputs below the serial
-    /// threshold still take the exact serial code path.
+    /// Keep the configuration of the query's guard — through the engine,
+    /// the one the executor read from the environment (`PA_THREADS` etc.,
+    /// [`ParallelConfig::from_env`]) when it minted the guard; inputs below
+    /// the serial threshold still take the exact serial code path.
     #[default]
     Auto,
     /// Force the exact serial code path regardless of environment.
@@ -179,14 +182,10 @@ pub struct HorizontalOptions {
     /// tables, each keyed by `D1..Dj` (the papers' prescribed remedy).
     /// When false, exceeding `max_columns` is an error.
     pub allow_partitioning: bool,
-    /// Morsel-parallel scan engagement for the aggregation passes.
+    /// Morsel-parallel scan engagement for the aggregation passes. Through
+    /// [`crate::PercentageEngine::execute_sql_with`] it applies to both
+    /// query families.
     pub parallel: ParallelMode,
-    /// Wall-clock deadline for the whole query. `None` (the default) means
-    /// no deadline; `Some(d)` arms a [`pa_engine::Deadline`] on the
-    /// per-query guard, so the plan aborts with
-    /// [`crate::CoreError::DeadlineExceeded`] at the next morsel boundary
-    /// after `d` elapses.
-    pub deadline: Option<std::time::Duration>,
     /// Force the per-row scalar kernels even where the vectorized
     /// bit-packed block path (DESIGN.md §12) is eligible. Ablation and
     /// differential-test knob — equivalent to `PA_VECTOR=0` but scoped to
@@ -203,7 +202,6 @@ impl Default for HorizontalOptions {
             max_columns: 2048,
             allow_partitioning: false,
             parallel: ParallelMode::Auto,
-            deadline: None,
             scalar_kernels: false,
         }
     }
@@ -216,6 +214,17 @@ impl HorizontalOptions {
             strategy,
             ..HorizontalOptions::default()
         }
+    }
+
+    /// `base` with these options' [`ParallelMode`] and kernel ablation
+    /// applied, for a query whose largest input has `input_rows` rows (see
+    /// [`crate::choose_parallelism`]).
+    pub fn parallel_config(&self, base: ParallelConfig, input_rows: usize) -> ParallelConfig {
+        let mut config = crate::optimizer::choose_parallelism(self.parallel, base, input_rows);
+        if self.scalar_kernels {
+            config.vector = false;
+        }
+        config
     }
 }
 
@@ -262,7 +271,6 @@ mod tests {
         assert!(!o.hash_dispatch);
         assert!(o.jump_table, "code-path CASE evaluation is the default");
         assert_eq!(o.parallel, ParallelMode::Auto);
-        assert_eq!(o.deadline, None);
         let o = HorizontalOptions::with_strategy(HorizontalStrategy::SpjFromFv);
         assert_eq!(o.strategy, HorizontalStrategy::SpjFromFv);
     }

@@ -19,7 +19,7 @@ use crate::error::{CoreError, Result};
 use crate::query::{ExtraAgg, VpctQuery};
 use crate::strategy::{FjSource, Materialization, VpctStrategy};
 use pa_engine::{
-    create_table_as, hash_join_guarded, multi_hash_aggregate_guarded, update_from, AggFunc,
+    create_table_as, hash_aggregate, hash_join, multi_hash_aggregate, update_from, AggFunc,
     AggSpec, ExecStats, Expr, JoinType, ProjSpec, ResourceGuard, SetClause,
 };
 use pa_storage::{Catalog, HashIndex, SharedTable, Table, Value};
@@ -60,20 +60,12 @@ fn extra_spec(extra: &ExtraAgg, schema: &pa_storage::Schema) -> Result<AggSpec> 
 ///
 /// Temporary tables are registered as `{prefix}Fk`, `{prefix}Fj{t}` and
 /// `{prefix}FV` (replacing previous contents).
+///
+/// The plan's aggregation scans, join probes and materialized rows are
+/// charged against `guard`, so an over-budget plan fails with
+/// [`CoreError::BudgetExceeded`] instead of exhausting memory; every pass
+/// runs under the guard's [`ParallelConfig`](pa_engine::ParallelConfig).
 pub fn eval_vpct(
-    catalog: &Catalog,
-    q: &VpctQuery,
-    strat: &VpctStrategy,
-    prefix: &str,
-) -> Result<QueryResult> {
-    eval_vpct_guarded(catalog, q, strat, prefix, &ResourceGuard::unlimited())
-}
-
-/// [`eval_vpct`] under a [`ResourceGuard`]: the plan's aggregation scans,
-/// join probes and materialized rows are charged against the guard, so an
-/// over-budget plan fails with [`CoreError::BudgetExceeded`] instead of
-/// exhausting memory.
-pub fn eval_vpct_guarded(
     catalog: &Catalog,
     q: &VpctQuery,
     strat: &VpctStrategy,
@@ -153,18 +145,11 @@ pub fn eval_vpct_guarded(
                 )],
             ));
         }
-        let mut out = multi_hash_aggregate_guarded(&f, &levels, guard, &mut stats)?;
+        let mut out = multi_hash_aggregate(&f, &levels, guard, &mut stats)?;
         let fk = out.remove(0);
         (fk, out)
     } else {
-        let fk = multi_hash_aggregate_guarded(
-            &f,
-            &[(k_cols.clone(), fk_specs.clone())],
-            guard,
-            &mut stats,
-        )?
-        .pop()
-        .expect("one level");
+        let fk = hash_aggregate(&f, &k_cols, &fk_specs, guard, &mut stats)?;
         (fk, Vec::new())
     };
 
@@ -175,27 +160,13 @@ pub fn eval_vpct_guarded(
                 FjSource::FromF => {
                     let spec =
                         AggSpec::new(AggFunc::Sum, term.measure.to_expr(&f_schema)?, "total");
-                    multi_hash_aggregate_guarded(
-                        &f,
-                        &[(totals_f_cols[t].clone(), vec![spec])],
-                        guard,
-                        &mut stats,
-                    )?
-                    .pop()
-                    .expect("one level")
+                    hash_aggregate(&f, &totals_f_cols[t], &[spec], guard, &mut stats)?
                 }
                 FjSource::FromFk => {
                     // Re-aggregate the partial sums (distributive).
                     let sum_pos = k_len + t;
                     let spec = AggSpec::new(AggFunc::Sum, Expr::Col(sum_pos), "total");
-                    multi_hash_aggregate_guarded(
-                        &fk_table,
-                        &[(totals_fk_cols[t].clone(), vec![spec])],
-                        guard,
-                        &mut stats,
-                    )?
-                    .pop()
-                    .expect("one level")
+                    hash_aggregate(&fk_table, &totals_fk_cols[t], &[spec], guard, &mut stats)?
                 }
             };
             fj_tables.push(fj);
@@ -246,7 +217,7 @@ pub fn eval_vpct_guarded(
                         None
                     };
                     let total_pos = cur.num_columns() + j_len;
-                    cur = hash_join_guarded(
+                    cur = hash_join(
                         &cur,
                         fj,
                         &totals_fk_cols[t],
@@ -408,6 +379,9 @@ pub(crate) mod tests {
     use crate::query::Measure;
     use pa_storage::{DataType, Schema};
 
+    /// The unlimited guard the direct evaluator calls below run under.
+    const G: ResourceGuard = ResourceGuard::unlimited();
+
     /// The paper's Table 1.
     pub(crate) fn sales_catalog() -> Catalog {
         let catalog = Catalog::new();
@@ -473,7 +447,7 @@ pub(crate) mod tests {
     #[test]
     fn paper_table2_best_strategy() {
         let catalog = sales_catalog();
-        let result = eval_vpct(&catalog, &paper_query(), &VpctStrategy::best(), "t_").unwrap();
+        let result = eval_vpct(&catalog, &paper_query(), &VpctStrategy::best(), "t_", &G).unwrap();
         check_result(&result);
         assert!(catalog.contains("t_Fk"));
         assert!(catalog.contains("t_Fj0"));
@@ -498,7 +472,7 @@ pub(crate) mod tests {
         ];
         for (i, strat) in strategies.iter().enumerate() {
             let catalog = sales_catalog();
-            let result = eval_vpct(&catalog, &paper_query(), strat, "t_")
+            let result = eval_vpct(&catalog, &paper_query(), strat, "t_", &G)
                 .unwrap_or_else(|e| panic!("strategy {i}: {e}"));
             check_result(&result);
         }
@@ -507,8 +481,15 @@ pub(crate) mod tests {
     #[test]
     fn update_strategy_pays_per_row_wal_records() {
         let catalog = sales_catalog();
-        let ins = eval_vpct(&catalog, &paper_query(), &VpctStrategy::best(), "a_").unwrap();
-        let upd = eval_vpct(&catalog, &paper_query(), &VpctStrategy::with_update(), "b_").unwrap();
+        let ins = eval_vpct(&catalog, &paper_query(), &VpctStrategy::best(), "a_", &G).unwrap();
+        let upd = eval_vpct(
+            &catalog,
+            &paper_query(),
+            &VpctStrategy::with_update(),
+            "b_",
+            &G,
+        )
+        .unwrap();
         assert!(upd.stats.rows_updated > 0);
         assert!(
             upd.stats.wal_records > ins.stats.wal_records,
@@ -521,8 +502,15 @@ pub(crate) mod tests {
     #[test]
     fn fj_from_fk_scans_f_once() {
         let catalog = sales_catalog();
-        let from_fk = eval_vpct(&catalog, &paper_query(), &VpctStrategy::best(), "a_").unwrap();
-        let from_f = eval_vpct(&catalog, &paper_query(), &VpctStrategy::fj_from_f(), "b_").unwrap();
+        let from_fk = eval_vpct(&catalog, &paper_query(), &VpctStrategy::best(), "a_", &G).unwrap();
+        let from_f = eval_vpct(
+            &catalog,
+            &paper_query(),
+            &VpctStrategy::fj_from_f(),
+            "b_",
+            &G,
+        )
+        .unwrap();
         // From-Fk reads F once (10 rows) + Fk (4); from-F reads F twice.
         assert!(
             from_fk.stats.rows_scanned < from_f.stats.rows_scanned,
@@ -538,7 +526,7 @@ pub(crate) mod tests {
         let catalog = sales_catalog();
         let q = VpctQuery::single("sales", &["state"], "salesAmt", &[]);
         for strat in [VpctStrategy::best(), VpctStrategy::with_update()] {
-            let result = eval_vpct(&catalog, &q, &strat, "g_").unwrap();
+            let result = eval_vpct(&catalog, &q, &strat, "g_", &G).unwrap();
             let t = result.snapshot().sorted_by(&[0]);
             assert_eq!(t.get(0, 1), Value::Float(106.0 / 255.0));
             assert_eq!(t.get(1, 1), Value::Float(149.0 / 255.0));
@@ -551,7 +539,7 @@ pub(crate) mod tests {
         let mut q = paper_query();
         q.extra.push(ExtraAgg::sum("salesAmt", "total_sales"));
         q.extra.push(ExtraAgg::count_star("n"));
-        let result = eval_vpct(&catalog, &q, &VpctStrategy::best(), "x_").unwrap();
+        let result = eval_vpct(&catalog, &q, &VpctStrategy::best(), "x_", &G).unwrap();
         let t = result.snapshot().sorted_by(&[0, 1]);
         assert_eq!(t.num_columns(), 5);
         assert_eq!(t.schema().index_of("total_sales").unwrap(), 3);
@@ -573,7 +561,7 @@ pub(crate) mod tests {
             extra: vec![],
         };
         for strat in [VpctStrategy::best(), VpctStrategy::with_update()] {
-            let result = eval_vpct(&catalog, &q, &strat, "m_").unwrap();
+            let result = eval_vpct(&catalog, &q, &strat, "m_", &G).unwrap();
             let t = result.snapshot().sorted_by(&[0, 1]);
             // Term 1: city within state (Table 2 values).
             assert_eq!(t.get(0, 2), Value::Float(23.0 / 106.0));
@@ -587,7 +575,7 @@ pub(crate) mod tests {
         // Vpct(1 BY city): share of row counts.
         let catalog = sales_catalog();
         let q = VpctQuery::single("sales", &["state", "city"], Measure::LitInt(1), &["city"]);
-        let result = eval_vpct(&catalog, &q, &VpctStrategy::best(), "c_").unwrap();
+        let result = eval_vpct(&catalog, &q, &VpctStrategy::best(), "c_", &G).unwrap();
         let t = result.snapshot().sorted_by(&[0, 1]);
         assert_eq!(t.get(0, 2), Value::Float(1.0 / 4.0)); // LA: 1 of 4 CA rows
         assert_eq!(t.get(3, 2), Value::Float(4.0 / 6.0)); // Houston: 4 of 6 TX rows
@@ -615,7 +603,7 @@ pub(crate) mod tests {
         catalog.create_table("f", t).unwrap();
         let q = VpctQuery::single("f", &["g", "d"], "a", &["d"]);
         for strat in [VpctStrategy::best(), VpctStrategy::with_update()] {
-            let result = eval_vpct(&catalog, &q, &strat, "z_").unwrap();
+            let result = eval_vpct(&catalog, &q, &strat, "z_", &G).unwrap();
             let t = result.snapshot().sorted_by(&[0, 1]);
             assert_eq!(t.get(0, 2), Value::Null, "NULL total");
             assert_eq!(t.get(1, 2), Value::Null, "zero total");
@@ -627,7 +615,7 @@ pub(crate) mod tests {
     fn by_equals_group_by_gives_global_share() {
         let catalog = sales_catalog();
         let q = VpctQuery::single("sales", &["state"], "salesAmt", &["state"]);
-        let result = eval_vpct(&catalog, &q, &VpctStrategy::best(), "e_").unwrap();
+        let result = eval_vpct(&catalog, &q, &VpctStrategy::best(), "e_", &G).unwrap();
         let t = result.snapshot().sorted_by(&[0]);
         assert_eq!(t.get(0, 1), Value::Float(106.0 / 255.0));
     }
@@ -636,15 +624,15 @@ pub(crate) mod tests {
     fn unknown_columns_rejected() {
         let catalog = sales_catalog();
         let q = VpctQuery::single("sales", &["nope"], "salesAmt", &[]);
-        assert!(eval_vpct(&catalog, &q, &VpctStrategy::best(), "u_").is_err());
+        assert!(eval_vpct(&catalog, &q, &VpctStrategy::best(), "u_", &G).is_err());
         let q = VpctQuery::single("sales", &["state"], "missing", &[]);
-        assert!(eval_vpct(&catalog, &q, &VpctStrategy::best(), "u_").is_err());
+        assert!(eval_vpct(&catalog, &q, &VpctStrategy::best(), "u_", &G).is_err());
     }
 
     #[test]
     fn group_percentages_sum_to_one() {
         let catalog = sales_catalog();
-        let result = eval_vpct(&catalog, &paper_query(), &VpctStrategy::best(), "s_").unwrap();
+        let result = eval_vpct(&catalog, &paper_query(), &VpctStrategy::best(), "s_", &G).unwrap();
         let t = result.snapshot();
         let mut sums: std::collections::BTreeMap<String, f64> = Default::default();
         for i in 0..t.num_rows() {

@@ -4,20 +4,12 @@
 //! Transient log-device errors are absorbed by the WAL retry policy;
 //! permanent ones fail fast with the original typed error.
 
-use pa_core::{CoreError, PercentageEngine, QueryLimits, TestClock};
-use pa_engine::chaos;
+use pa_core::{CoreError, PercentageEngine, QueryLimits, ResourceGuard, TestClock};
+use pa_engine::chaos::{ChaosTrigger, CHAOS_PANIC_MSG};
 use pa_storage::{Catalog, FaultInjector, FaultPlan, MemLogStore, StorageError, Value, Wal};
 use pa_workload::{install_sales, SalesConfig};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// The chaos panic injector is process-global: tests that arm it hold this
-/// lock for their whole arm..observe window.
-static CHAOS: Mutex<()> = Mutex::new(());
-
-fn chaos_window() -> std::sync::MutexGuard<'static, ()> {
-    CHAOS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const SQL: &str = "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city;";
 
@@ -27,24 +19,30 @@ fn sales_catalog(rows: usize) -> Catalog {
     catalog
 }
 
+/// The unlimited guard with `chaos` attached: an engine carrying it ticks
+/// `chaos` in its queries and nowhere else.
+fn chaos_guard(chaos: &ChaosTrigger) -> ResourceGuard {
+    ResourceGuard::unlimited().with_chaos(chaos.clone())
+}
+
 fn rows_of(outcome: &pa_core::SqlOutcome) -> Vec<Vec<Value>> {
     outcome.table().read().rows().collect()
 }
 
 #[test]
 fn injected_panic_fails_one_query_and_the_engine_stays_usable() {
-    let _w = chaos_window();
+    let chaos = ChaosTrigger::default();
     let catalog = sales_catalog(2048);
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::with_unique_temps(&catalog).with_guard(chaos_guard(&chaos));
     let names_before = catalog.table_names();
 
-    chaos::arm(0);
+    chaos.arm(0);
     let err = engine.execute_sql(SQL).unwrap_err();
-    assert!(!chaos::is_armed(), "the injected panic fired");
+    assert!(!chaos.is_armed(), "the injected panic fired");
     match &err {
         CoreError::WorkerPanicked { operator, payload } => {
             assert_eq!(operator, "execute_sql");
-            assert_eq!(payload, chaos::CHAOS_PANIC_MSG);
+            assert_eq!(payload, CHAOS_PANIC_MSG);
         }
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
@@ -68,9 +66,9 @@ fn injected_panic_fails_one_query_and_the_engine_stays_usable() {
 
 #[test]
 fn failed_queries_never_leak_temp_tables() {
-    let _w = chaos_window();
+    let chaos = ChaosTrigger::default();
     let catalog = sales_catalog(1024);
-    let engine = PercentageEngine::with_unique_temps(&catalog);
+    let engine = PercentageEngine::with_unique_temps(&catalog).with_guard(chaos_guard(&chaos));
     let names_before = catalog.table_names();
 
     // Budget abort: typed, and nothing left behind.
@@ -89,7 +87,7 @@ fn failed_queries_never_leak_temp_tables() {
 
     // Panic abort: same sweep guarantee, repeated to catch ratchets.
     for _ in 0..3 {
-        chaos::arm(0);
+        chaos.arm(0);
         let err = engine.execute_sql(SQL).unwrap_err();
         assert!(matches!(err, CoreError::WorkerPanicked { .. }), "{err:?}");
         assert_eq!(catalog.table_names(), names_before);

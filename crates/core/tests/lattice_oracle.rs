@@ -4,7 +4,9 @@
 //! projection, partials cached and re-aggregated for coarser queries —
 //! must be *indistinguishable* from the naive per-level evaluator. Every
 //! test here compares the two end to end, sweeping the knobs that change
-//! which kernel actually runs:
+//! which kernel actually runs — pinned on the guard passed to the direct
+//! evaluator calls, and through the environment for the engine-level CUBE
+//! test:
 //!
 //! * `PA_THREADS` 1/2/4 — serial vs morsel-parallel scan with the
 //!   deterministic worker-order merge;
@@ -33,15 +35,16 @@ use pa_core::{
     VpctTerm,
 };
 use pa_engine::{
-    lattice_aggregate_with_config, multi_hash_aggregate_with_config, AggFunc, AggSpec, ExecStats,
-    Expr, ParallelConfig, ResourceGuard,
+    lattice_aggregate, multi_hash_aggregate, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig,
+    ResourceGuard,
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
-/// Env knobs are process-global; every test in this binary serializes on
-/// this lock for its whole set..restore window.
+/// The engine-level tests here pin env knobs, which are process-global
+/// (the executor reads them when it mints each query's guard); those tests
+/// serialize on this lock for their whole set..restore window.
 static ENV: Mutex<()> = Mutex::new(());
 
 fn env_window() -> MutexGuard<'static, ()> {
@@ -67,6 +70,12 @@ impl Drop for EnvPins {
             std::env::remove_var(k);
         }
     }
+}
+
+/// The unlimited guard running under `config`: the direct evaluator calls
+/// pin the knobs they sweep on the guard they pass in.
+fn pinned(config: ParallelConfig) -> ResourceGuard {
+    ResourceGuard::unlimited().with_config(config)
 }
 
 /// ~12k-row fact table: three enumerable dimensions with NULLs and an
@@ -131,14 +140,13 @@ fn sorted_rows(t: &Table, key_cols: usize) -> Vec<Vec<Value>> {
 
 #[test]
 fn fused_lattice_matches_per_level_reference() {
-    let _w = env_window();
     let q = lattice_query();
     // The reference runs serial/scalar on its own catalog once.
     let reference = {
-        let _pins = EnvPins::set(&[("PA_THREADS", "1".into())]);
+        let pinned = pinned(ParallelConfig::serial());
         let catalog = fact_catalog();
         sorted_rows(
-            &eval_vpct(&catalog, &q, &VpctStrategy::best(), "ref_")
+            &eval_vpct(&catalog, &q, &VpctStrategy::best(), "ref_", &pinned)
                 .unwrap()
                 .snapshot(),
             3,
@@ -148,20 +156,21 @@ fn fused_lattice_matches_per_level_reference() {
         // High budget exercises the dense radix jump tables; budget 1
         // refuses the dense space and forces wide mask-and-shift codes.
         for dense_budget in [1usize << 20, 1] {
-            let _pins = EnvPins::set(&[
-                ("PA_THREADS", threads.to_string()),
-                ("PA_DENSE_BUDGET", dense_budget.to_string()),
-                ("PA_MORSEL_ROWS", "1024".into()),
-                ("PA_MIN_PARALLEL_ROWS", "1".into()),
-            ]);
+            let pinned = pinned(ParallelConfig {
+                threads,
+                dense_budget,
+                morsel_rows: 1024,
+                min_parallel_rows: 1,
+                ..ParallelConfig::serial()
+            });
             let catalog = fact_catalog();
-            let cold = eval_vpct_lattice(&catalog, &q, "c_").unwrap();
+            let cold = eval_vpct_lattice(&catalog, &q, "c_", &pinned).unwrap();
             assert!(
                 cold.stats.levels_from_scan > 0,
                 "threads={threads} budget={dense_budget}: cold run must scan"
             );
             // Same catalog, second run: the scanned partials are cached.
-            let warm = eval_vpct_lattice(&catalog, &q, "w_").unwrap();
+            let warm = eval_vpct_lattice(&catalog, &q, "w_", &pinned).unwrap();
             assert_eq!(
                 warm.stats.levels_from_scan, 0,
                 "threads={threads} budget={dense_budget}: warm run must not scan"
@@ -183,21 +192,25 @@ fn fused_lattice_matches_per_level_reference() {
 
 #[test]
 fn vector_ablation_still_matches() {
-    let _w = env_window();
     let q = lattice_query();
     let with_vector = {
-        let _pins = EnvPins::set(&[("PA_THREADS", "1".into())]);
+        let pinned = pinned(ParallelConfig::serial());
         let catalog = fact_catalog();
         sorted_rows(
-            &eval_vpct_lattice(&catalog, &q, "v_").unwrap().snapshot(),
+            &eval_vpct_lattice(&catalog, &q, "v_", &pinned)
+                .unwrap()
+                .snapshot(),
             3,
         )
     };
     // PA_VECTOR=0: the fused kernel reports ineligibility and the lattice
     // evaluator falls back to per-level aggregation — same bytes.
-    let _pins = EnvPins::set(&[("PA_THREADS", "1".into()), ("PA_VECTOR", "0".into())]);
+    let pinned = pinned(ParallelConfig {
+        vector: false,
+        ..ParallelConfig::serial()
+    });
     let catalog = fact_catalog();
-    let scalar = eval_vpct_lattice(&catalog, &q, "s_").unwrap();
+    let scalar = eval_vpct_lattice(&catalog, &q, "s_", &pinned).unwrap();
     assert_eq!(
         sorted_rows(&scalar.snapshot(), 3),
         with_vector,
@@ -207,8 +220,7 @@ fn vector_ablation_still_matches() {
 
 #[test]
 fn batch_prefixes_match_solo_queries() {
-    let _w = env_window();
-    let _pins = EnvPins::set(&[("PA_THREADS", "2".into())]);
+    let pinned = pinned(ParallelConfig::with_threads(2));
     let dims = ["state", "city", "dweek"];
     // Query j: percentages of each finest group against the totals at
     // prefix dims[..j] — the percentage_batch shape.
@@ -221,11 +233,11 @@ fn batch_prefixes_match_solo_queries() {
         })
         .collect();
     let catalog = fact_catalog();
-    let batch = eval_vpct_batch(&catalog, &queries, "b_").unwrap();
+    let batch = eval_vpct_batch(&catalog, &queries, "b_", &pinned).unwrap();
     assert_eq!(batch.len(), queries.len());
     for (j, (q, r)) in queries.iter().zip(&batch).enumerate() {
         let solo_catalog = fact_catalog();
-        let solo = eval_vpct(&solo_catalog, q, &VpctStrategy::best(), "solo_").unwrap();
+        let solo = eval_vpct(&solo_catalog, q, &VpctStrategy::best(), "solo_", &pinned).unwrap();
         assert_eq!(
             sorted_rows(&r.snapshot(), 3),
             sorted_rows(&solo.snapshot(), 3),
@@ -341,10 +353,7 @@ proptest! {
             .map(|dims| (dims.iter().map(|&d| group_cols[d]).collect(), aggs.clone()))
             .collect();
         let mut ref_st = ExecStats::default();
-        let reference = multi_hash_aggregate_with_config(
-            &t, &ref_levels, &ResourceGuard::unlimited(), &mut ref_st,
-            &ParallelConfig::serial(),
-        ).unwrap();
+        let reference = multi_hash_aggregate(&t, &ref_levels, &ResourceGuard::unlimited().with_config(ParallelConfig::serial()), &mut ref_st).unwrap();
         for dense_budget in [1usize << 20, 1] {
             let config = ParallelConfig {
                 threads: 1,
@@ -354,10 +363,7 @@ proptest! {
                 ..ParallelConfig::serial()
             };
             let mut st = ExecStats::default();
-            let partials = lattice_aggregate_with_config(
-                &t, &group_cols, &aggs, &levels,
-                &ResourceGuard::unlimited(), &mut st, &config,
-            ).unwrap().expect("int/str keys and sum/count lanes always fuse");
+            let partials = lattice_aggregate(&t, &group_cols, &aggs, &levels, &ResourceGuard::unlimited().with_config(config), &mut st).unwrap().expect("int/str keys and sum/count lanes always fuse");
             for ((partial, reference), dims) in
                 partials.into_iter().zip(&reference).zip(&levels)
             {
@@ -395,6 +401,9 @@ fn explain_catalog() -> Catalog {
     catalog
 }
 
+// Reads the UPDATE_GOLDEN regeneration switch: a test harness flag, not
+// engine configuration.
+#[allow(clippy::disallowed_methods)]
 #[test]
 fn golden_cube_explain_snapshot() {
     let _w = env_window();

@@ -9,7 +9,7 @@
 //! float sums exact under any regrouping).
 
 use pa_core::{
-    dispatch::{pivot_aggregate_with_config, PivotTask},
+    dispatch::{pivot_aggregate, PivotTask},
     eval_horizontal, eval_vpct, HorizontalOptions, HorizontalStrategy, HorizontalTerm,
     ParallelConfig, ParallelMode, VpctQuery, VpctStrategy,
 };
@@ -91,15 +91,7 @@ proptest! {
                 min_parallel_rows: 0,
             ..ParallelConfig::serial()
             };
-            outs.push(pivot_aggregate_with_config(
-                &t,
-                &[0],
-                &tasks,
-                &extras,
-                &ResourceGuard::unlimited(),
-                &mut ExecStats::default(),
-                &config,
-            )
+            outs.push(pivot_aggregate(&t, &[0], &tasks, &extras, &ResourceGuard::unlimited().with_config(config), &mut ExecStats::default())
             .unwrap());
         }
         let serial = snapshot(&outs[0]);
@@ -175,6 +167,7 @@ fn every_horizontal_strategy_is_parallel_deterministic() {
                 ..opts.clone()
             },
             "s_",
+            &ResourceGuard::unlimited(),
         )
         .unwrap_or_else(|e| panic!("{label} serial: {e}"));
         let parallel = eval_horizontal(
@@ -185,6 +178,7 @@ fn every_horizontal_strategy_is_parallel_deterministic() {
                 ..opts
             },
             "p_",
+            &ResourceGuard::unlimited(),
         )
         .unwrap_or_else(|e| panic!("{label} parallel: {e}"));
         assert_eq!(
@@ -207,20 +201,19 @@ fn every_vpct_strategy_is_parallel_deterministic() {
         ("synchronized", VpctStrategy::synchronized()),
     ];
     for (label, strat) in strategies {
-        // The vertical evaluator follows the environment; pin it per phase.
-        // Tests in this binary that race with these env writes don't read
-        // the environment (they use explicit configs/modes).
-        std::env::set_var("PA_THREADS", "1");
-        let serial =
-            eval_vpct(&catalog, &q, &strat, "s_").unwrap_or_else(|e| panic!("{label} serial: {e}"));
-        std::env::set_var("PA_THREADS", "4");
-        std::env::set_var("PA_MORSEL_ROWS", "4096");
-        std::env::set_var("PA_MIN_PARALLEL_ROWS", "1");
-        let parallel = eval_vpct(&catalog, &q, &strat, "p_")
+        // The vertical evaluator runs under its guard's config; pin each
+        // phase there.
+        let serial_guard = ResourceGuard::unlimited().with_config(ParallelConfig::serial());
+        let serial = eval_vpct(&catalog, &q, &strat, "s_", &serial_guard)
+            .unwrap_or_else(|e| panic!("{label} serial: {e}"));
+        let parallel_guard = ResourceGuard::unlimited().with_config(ParallelConfig {
+            threads: 4,
+            morsel_rows: 4096,
+            min_parallel_rows: 1,
+            ..ParallelConfig::serial()
+        });
+        let parallel = eval_vpct(&catalog, &q, &strat, "p_", &parallel_guard)
             .unwrap_or_else(|e| panic!("{label} parallel: {e}"));
-        std::env::remove_var("PA_THREADS");
-        std::env::remove_var("PA_MORSEL_ROWS");
-        std::env::remove_var("PA_MIN_PARALLEL_ROWS");
         assert_eq!(
             snapshot(&serial.snapshot()),
             snapshot(&parallel.snapshot()),

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pa_engine::{
     distinct, hash_aggregate, hash_join, multi_hash_aggregate, window_aggregate, AggFunc, AggSpec,
-    ExecStats, Expr, JoinType,
+    ExecStats, Expr, JoinType, ResourceGuard,
 };
 use pa_storage::{DataType, HashIndex, Schema, Table, Value};
 
@@ -47,6 +47,7 @@ fn bench_primitives(c: &mut Criterion) {
                 &f,
                 &[0, 1],
                 std::slice::from_ref(&sum_a),
+                &ResourceGuard::unlimited(),
                 &mut ExecStats::default(),
             )
             .unwrap()
@@ -64,6 +65,7 @@ fn bench_primitives(c: &mut Criterion) {
                         (vec![0, 1], vec![sum_a.clone()]),
                         (vec![0], vec![sum_a.clone()]),
                     ],
+                    &ResourceGuard::unlimited(),
                     &mut ExecStats::default(),
                 )
                 .unwrap()
@@ -76,6 +78,7 @@ fn bench_primitives(c: &mut Criterion) {
         &f,
         &[0, 1],
         std::slice::from_ref(&sum_a),
+        &ResourceGuard::unlimited(),
         &mut ExecStats::default(),
     )
     .unwrap();
@@ -83,6 +86,7 @@ fn bench_primitives(c: &mut Criterion) {
         &f,
         &[0],
         std::slice::from_ref(&sum_a),
+        &ResourceGuard::unlimited(),
         &mut ExecStats::default(),
     )
     .unwrap();
@@ -96,6 +100,7 @@ fn bench_primitives(c: &mut Criterion) {
                 &[0],
                 JoinType::Inner,
                 None,
+                &ResourceGuard::unlimited(),
                 &mut ExecStats::default(),
             )
             .unwrap()
@@ -110,6 +115,7 @@ fn bench_primitives(c: &mut Criterion) {
                 &[0],
                 JoinType::Inner,
                 Some(&idx),
+                &ResourceGuard::unlimited(),
                 &mut ExecStats::default(),
             )
             .unwrap()
@@ -143,7 +149,16 @@ fn bench_primitives(c: &mut Criterion) {
         })
         .collect();
     c.bench_function("aggregate/7-case-cells", |b| {
-        b.iter(|| hash_aggregate(&f, &[0], &case_specs, &mut ExecStats::default()).unwrap());
+        b.iter(|| {
+            hash_aggregate(
+                &f,
+                &[0],
+                &case_specs,
+                &ResourceGuard::unlimited(),
+                &mut ExecStats::default(),
+            )
+            .unwrap()
+        });
     });
 }
 

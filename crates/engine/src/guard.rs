@@ -21,9 +21,17 @@
 //! plan that fans out over several operators still observes a single global
 //! budget. The default guard is unlimited and compiles down to a null check
 //! in the hot path.
+//!
+//! The guard is also the query's whole execution context: besides the
+//! limits it carries the span [`Tracer`], the resolved [`ParallelConfig`]
+//! every operator of the query runs under, and an optional
+//! [`ChaosTrigger`] for fault-injection tests. Operators read their
+//! configuration from the guard and never from the environment.
 
+use crate::chaos::ChaosTrigger;
 use crate::clock::{Clock, SystemClock};
 use crate::error::{EngineError, Result};
+use crate::parallel::ParallelConfig;
 use pa_obs::{SpanHandle, Tracer};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,25 +73,23 @@ impl Deadline {
 /// A deadline armed on a specific guard: allowance plus start time.
 #[derive(Debug)]
 struct DeadlineState {
-    allow: Duration,
+    deadline: Deadline,
     start: Duration,
-    clock: Arc<dyn Clock>,
 }
 
 impl DeadlineState {
     fn arm(d: &Deadline) -> DeadlineState {
         DeadlineState {
-            allow: d.allow,
+            deadline: d.clone(),
             start: d.clock.now(),
-            clock: Arc::clone(&d.clock),
         }
     }
 
     /// `Some((elapsed_ms, limit_ms))` once the allowance is spent.
     fn exceeded(&self) -> Option<(u64, u64)> {
-        let elapsed = self.clock.now().saturating_sub(self.start);
-        (elapsed > self.allow)
-            .then_some((elapsed.as_millis() as u64, self.allow.as_millis() as u64))
+        let Deadline { allow, clock } = &self.deadline;
+        let elapsed = clock.now().saturating_sub(self.start);
+        (elapsed > *allow).then_some((elapsed.as_millis() as u64, allow.as_millis() as u64))
     }
 }
 
@@ -105,6 +111,21 @@ struct GuardInner {
 }
 
 impl GuardInner {
+    /// A fresh meter under these limits.
+    fn fresh(
+        row_budget: Option<u64>,
+        deadline: Option<DeadlineState>,
+        parent: Option<Arc<GuardInner>>,
+    ) -> Option<Arc<GuardInner>> {
+        Some(Arc::new(GuardInner {
+            row_budget,
+            rows: AtomicU64::new(0),
+            cancelled: AtomicBool::new(false),
+            deadline,
+            parent,
+        }))
+    }
+
     fn chain_cancelled(&self) -> bool {
         let mut cur = Some(self);
         while let Some(inner) = cur {
@@ -147,6 +168,11 @@ pub struct ResourceGuard {
     /// already receives. Disabled by default, so untraced queries pay one
     /// `Option` branch per span-open and nothing per row.
     tracer: Tracer,
+    /// Parallelism and code-path knobs for every operator run under this
+    /// guard. Serial unless set with [`ResourceGuard::with_config`].
+    config: ParallelConfig,
+    /// Test-only panic injection, ticked at every charge.
+    chaos: Option<ChaosTrigger>,
 }
 
 impl ResourceGuard {
@@ -155,6 +181,8 @@ impl ResourceGuard {
         ResourceGuard {
             inner: None,
             tracer: Tracer::disabled(),
+            config: ParallelConfig::serial(),
+            chaos: None,
         }
     }
 
@@ -195,35 +223,33 @@ impl ResourceGuard {
         if row_budget.is_none() && deadline.is_none() {
             return ResourceGuard::unlimited();
         }
+        let deadline = deadline.as_ref().map(DeadlineState::arm);
+        ResourceGuard::unlimited().with_inner(GuardInner::fresh(row_budget, deadline, None))
+    }
+
+    /// This guard's context (tracer, config, chaos trigger) around other
+    /// limits and meter.
+    fn with_inner(&self, inner: Option<Arc<GuardInner>>) -> ResourceGuard {
         ResourceGuard {
-            inner: Some(Arc::new(GuardInner {
-                row_budget,
-                rows: AtomicU64::new(0),
-                cancelled: AtomicBool::new(false),
-                deadline: deadline.as_ref().map(DeadlineState::arm),
-                parent: None,
-            })),
-            tracer: Tracer::disabled(),
+            inner,
+            tracer: self.tracer.clone(),
+            config: self.config,
+            chaos: self.chaos.clone(),
         }
     }
 
-    /// A guard with no limits that still meters [`rows_charged`] and
-    /// honours [`cancel`] — the executor's per-query accounting guard when
-    /// the engine itself runs unlimited.
+    /// This guard, made to meter [`rows_charged`] and honour [`cancel`] even
+    /// when it has no limits — the executor's per-query accounting guard
+    /// when the engine itself runs unlimited. A guard that already has
+    /// limits is returned unchanged.
     ///
     /// [`rows_charged`]: ResourceGuard::rows_charged
     /// [`cancel`]: ResourceGuard::cancel
-    pub fn counting() -> ResourceGuard {
-        ResourceGuard {
-            inner: Some(Arc::new(GuardInner {
-                row_budget: None,
-                rows: AtomicU64::new(0),
-                cancelled: AtomicBool::new(false),
-                deadline: None,
-                parent: None,
-            })),
-            tracer: Tracer::disabled(),
+    pub fn metered(self) -> ResourceGuard {
+        if self.inner.is_some() {
+            return self;
         }
+        self.with_inner(GuardInner::fresh(None, None, None))
     }
 
     /// Derive a child guard with the same limits but a fresh meter and a
@@ -237,50 +263,54 @@ impl ResourceGuard {
     /// [`rows_charged`]: ResourceGuard::rows_charged
     /// [`cancel`]: ResourceGuard::cancel
     pub fn per_query(&self) -> ResourceGuard {
-        self.per_query_with(None)
-    }
-
-    /// [`ResourceGuard::per_query`] with a deadline override: `Some`
-    /// replaces (or adds) the allowance for this query only; `None`
-    /// inherits the parent's allowance, restarted now. Works from the
-    /// unlimited guard too, yielding a deadline-only child.
-    pub fn per_query_with(&self, deadline: Option<Deadline>) -> ResourceGuard {
-        self.per_query_limited(None, deadline)
+        self.per_query_limited(None, None)
     }
 
     /// The most general per-query derivation: either limit can be
     /// overridden for this query (`Some`) or inherited from this guard
     /// (`None`). The child keeps the roll-up/cancellation link to this
     /// guard when this guard is bounded; from the unlimited guard the
-    /// overrides become the child's only limits.
+    /// overrides become the child's only limits. The tracer, config and
+    /// chaos trigger carry over either way.
     pub fn per_query_limited(
         &self,
         row_budget: Option<u64>,
         deadline: Option<Deadline>,
     ) -> ResourceGuard {
         let Some(inner) = &self.inner else {
-            return ResourceGuard::with_limits(row_budget, deadline)
-                .with_tracer(self.tracer.clone());
+            return self.with_inner(ResourceGuard::with_limits(row_budget, deadline).inner);
         };
-        let armed = match &deadline {
-            Some(d) => Some(DeadlineState::arm(d)),
-            None => inner.deadline.as_ref().map(|dl| {
-                DeadlineState::arm(&Deadline {
-                    allow: dl.allow,
-                    clock: Arc::clone(&dl.clock),
-                })
-            }),
-        };
-        ResourceGuard {
-            inner: Some(Arc::new(GuardInner {
-                row_budget: row_budget.or(inner.row_budget),
-                rows: AtomicU64::new(0),
-                cancelled: AtomicBool::new(false),
-                deadline: armed,
-                parent: Some(Arc::clone(inner)),
-            })),
-            tracer: self.tracer.clone(),
-        }
+        // A `None` override inherits this guard's allowance, restarted now.
+        let armed = deadline
+            .as_ref()
+            .or(inner.deadline.as_ref().map(|dl| &dl.deadline))
+            .map(DeadlineState::arm);
+        let parent = Some(Arc::clone(inner));
+        self.with_inner(GuardInner::fresh(
+            row_budget.or(inner.row_budget),
+            armed,
+            parent,
+        ))
+    }
+
+    /// Set the [`ParallelConfig`] every operator under this guard (and every
+    /// guard derived from it) runs with. Limits, meters, and roll-up links
+    /// are untouched.
+    pub fn with_config(mut self, config: ParallelConfig) -> ResourceGuard {
+        self.config = config;
+        self
+    }
+
+    /// The parallelism and code-path configuration operators run under.
+    pub fn config(&self) -> &ParallelConfig {
+        &self.config
+    }
+
+    /// Attach a panic trigger: every [`ResourceGuard::charge`] on this
+    /// guard, its clones and the guards derived from it ticks `trigger`.
+    pub fn with_chaos(mut self, trigger: ChaosTrigger) -> ResourceGuard {
+        self.chaos = Some(trigger);
+        self
     }
 
     /// Attach a [`Tracer`]: spans opened via [`ResourceGuard::span`] on
@@ -316,7 +346,7 @@ impl ResourceGuard {
     pub fn deadline(&self) -> Option<Duration> {
         self.inner
             .as_ref()
-            .and_then(|i| i.deadline.as_ref().map(|d| d.allow))
+            .and_then(|i| i.deadline.as_ref().map(|d| d.deadline.allow))
     }
 
     /// Rows charged so far across all clones of this guard.
@@ -364,7 +394,9 @@ impl ResourceGuard {
     /// guard's limits are enforced.
     pub fn charge(&self, rows: u64) -> Result<()> {
         // Chaos trigger point: one relaxed load per morsel when disarmed.
-        crate::chaos::tick();
+        if let Some(chaos) = &self.chaos {
+            chaos.tick();
+        }
         let Some(inner) = &self.inner else {
             return Ok(());
         };
@@ -545,10 +577,13 @@ mod tests {
         let clock = Arc::new(TestClock::new());
         // Override on a budget-only guard: the child gains a deadline.
         let g = ResourceGuard::with_row_budget(100);
-        let q = g.per_query_with(Some(Deadline::with_clock(
-            Duration::from_millis(2),
-            clock.clone(),
-        )));
+        let q = g.per_query_limited(
+            None,
+            Some(Deadline::with_clock(
+                Duration::from_millis(2),
+                clock.clone(),
+            )),
+        );
         assert_eq!(q.deadline(), Some(Duration::from_millis(2)));
         assert_eq!(q.row_budget(), Some(100), "budget still inherited");
         clock.advance(Duration::from_millis(3));
@@ -558,10 +593,13 @@ mod tests {
         ));
         // Override from the unlimited guard: deadline-only child, armed
         // from the moment of derivation.
-        let q = ResourceGuard::unlimited().per_query_with(Some(Deadline::with_clock(
-            Duration::from_millis(2),
-            clock.clone(),
-        )));
+        let q = ResourceGuard::unlimited().per_query_limited(
+            None,
+            Some(Deadline::with_clock(
+                Duration::from_millis(2),
+                clock.clone(),
+            )),
+        );
         assert!(!q.is_unlimited());
         assert!(q.check().is_ok(), "fresh start at derivation time");
         clock.advance(Duration::from_millis(3));

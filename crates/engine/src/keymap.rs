@@ -692,16 +692,6 @@ impl GroupMap {
         }
     }
 
-    /// Mutable access to the dense map, when this is the dense path — the
-    /// vectorized kernels feed precomputed composite codes straight into
-    /// [`DenseGroupMap::get_or_insert_code`].
-    pub fn as_dense_mut(&mut self) -> Option<&mut DenseGroupMap> {
-        match self {
-            GroupMap::Hash(_) => None,
-            GroupMap::Dense(m) => Some(m),
-        }
-    }
-
     /// Number of distinct groups seen.
     pub fn len(&self) -> usize {
         match self {

@@ -37,9 +37,9 @@ use crate::expr::Expr;
 use crate::guard::ResourceGuard;
 use crate::keymap::{DenseGroupMap, DenseKeySpace, WideKeySpace, WideProjector};
 use crate::ops::acc::Acc;
-use crate::ops::aggregate::{AggFunc, AggSpec};
+use crate::ops::aggregate::{check_aggregate, AggFunc, AggSpec};
 use crate::ops::partial::ShardPartial;
-use crate::parallel::ParallelConfig;
+use crate::parallel::fan_out;
 use crate::stats::ExecStats;
 use crate::vector::RLE_RUN_DIVISOR;
 use crate::vector::{raw_acc, wide_gid, BlockCoder, LaneSrc, RawLane, WideCoder, BLOCK_ROWS};
@@ -139,13 +139,12 @@ fn scan_dense(
     srcs: &[LaneSrc<'_>],
     chunk: Range<usize>,
     guard: &ResourceGuard,
-    config: &ParallelConfig,
     stats: &mut ExecStats,
     span: &mut SpanHandle,
 ) -> Result<()> {
     let mut codes = [0u32; BLOCK_ROWS];
     let mut gids = [0u32; BLOCK_ROWS];
-    for morsel in config.morsels(chunk) {
+    for morsel in guard.config().morsels(chunk) {
         guard.charge(morsel.len() as u64)?;
         span.add_morsels(1);
         span.add_rows(morsel.len() as u64);
@@ -255,13 +254,12 @@ fn scan_wide(
     srcs: &[LaneSrc<'_>],
     chunk: Range<usize>,
     guard: &ResourceGuard,
-    config: &ParallelConfig,
     stats: &mut ExecStats,
     span: &mut SpanHandle,
 ) -> Result<()> {
     let mut codes = [0u64; BLOCK_ROWS];
     let mut gids = [0u32; BLOCK_ROWS];
-    for morsel in config.morsels(chunk) {
+    for morsel in guard.config().morsels(chunk) {
         guard.charge(morsel.len() as u64)?;
         span.add_morsels(1);
         span.add_rows(morsel.len() as u64);
@@ -419,32 +417,22 @@ fn worker_partials(
 /// tables, [`serialize`](ShardPartial::serialize) them into a lattice
 /// cache, or re-aggregate coarser levels from them.
 ///
+/// The scan runs under `guard`'s [`ParallelConfig`](crate::ParallelConfig).
 /// Returns `Ok(None)` when the plan is ineligible for the fused kernel
 /// (vectorization disabled, non-fusable lanes, uncodable key dimensions):
 /// callers fall back to per-level aggregation. Malformed inputs
 /// (out-of-range columns, empty aggregate lists, non-subset levels) are
 /// errors, not fallbacks.
-pub fn lattice_aggregate_with_config(
+pub fn lattice_aggregate(
     input: &Table,
     group_cols: &[usize],
     aggs: &[AggSpec],
     levels: &[Vec<usize>],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
-    config: &ParallelConfig,
 ) -> Result<Option<Vec<ShardPartial>>> {
-    for &c in group_cols {
-        if c >= input.num_columns() {
-            return Err(EngineError::InvalidOperator(format!(
-                "group column {c} out of range"
-            )));
-        }
-    }
-    if aggs.is_empty() {
-        return Err(EngineError::InvalidOperator(
-            "aggregation requires at least one aggregate term".into(),
-        ));
-    }
+    let config = guard.config();
+    check_aggregate(input, group_cols, aggs)?;
     for dims in levels {
         let ordered = dims.windows(2).all(|w| w[0] < w[1]);
         if dims.is_empty() || !ordered || dims.iter().any(|&d| d >= group_cols.len()) {
@@ -510,7 +498,6 @@ pub fn lattice_aggregate_with_config(
     guard.check()?;
     let n = input.num_rows();
     stats.rows_scanned += n as u64;
-    let chunks = config.chunks(n);
     let mut span = guard.span("lattice");
     span.set_detail(match &root {
         RootCoder::Dense(_) => "dense",
@@ -548,84 +535,51 @@ pub fn lattice_aggregate_with_config(
             })
             .collect()
     };
-    let run_chunk = |states: &mut [LevelState],
-                     chunk: Range<usize>,
-                     wstats: &mut ExecStats,
-                     wspan: &mut SpanHandle|
-     -> Result<()> {
-        match &root {
-            RootCoder::Dense(coder) => scan_dense(
-                coder, &projs, states, &srcs, chunk, guard, config, wstats, wspan,
-            ),
-            RootCoder::Wide(coder) => scan_wide(
-                coder, &projs, states, &srcs, chunk, guard, config, wstats, wspan,
-            ),
-        }
-    };
-
-    let mut partials: Vec<ShardPartial> = if chunks.len() <= 1 {
-        let mut states = make_states();
-        run_chunk(&mut states, 0..n, stats, &mut span)?;
-        worker_partials(input, group_cols, levels, &projs, aggs, states)
-    } else {
-        // Contiguous chunks over scoped workers, panics contained at the
-        // thread boundary, merge in worker order — the same discipline as
-        // the single-level parallel aggregate (DESIGN.md §7).
-        type WorkerOut = Result<(Vec<ShardPartial>, ExecStats)>;
-        let panicked = |p| EngineError::WorkerPanicked {
-            operator: "lattice_aggregate".into(),
-            payload: crate::error::panic_payload(p),
-        };
-        let worker_results: Vec<WorkerOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .enumerate()
-                .map(|(w, chunk)| {
-                    let make_states = &make_states;
-                    let run_chunk = &run_chunk;
-                    let panicked = &panicked;
-                    let projs = &projs;
-                    let mut wspan = span.child("worker", w as u32);
-                    s.spawn(move || -> WorkerOut {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> WorkerOut {
-                            let mut states = make_states();
-                            let mut wstats = ExecStats::default();
-                            run_chunk(&mut states, chunk, &mut wstats, &mut wspan)?;
-                            Ok((
-                                worker_partials(input, group_cols, levels, projs, aggs, states),
-                                wstats,
-                            ))
-                        }))
-                        .unwrap_or_else(|p| {
-                            guard.cancel();
-                            Err(panicked(p))
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| Err(panicked(p))))
-                .collect()
-        });
-        if let Some(Err(e)) = worker_results
-            .iter()
-            .find(|r| matches!(r, Err(EngineError::WorkerPanicked { .. })))
-        {
-            return Err(e.clone());
-        }
-        let mut iter = worker_results.into_iter();
-        let (mut merged, wstats) = iter.next().expect("at least one worker")?;
-        *stats += wstats;
-        for result in iter {
-            let (wp, wstats) = result?;
-            *stats += wstats;
-            for (dst, src) in merged.iter_mut().zip(wp) {
-                dst.merge(src)?;
+    // Contiguous chunks over the guard's workers, merged in worker order —
+    // the same discipline as the single-level parallel aggregate
+    // (DESIGN.md §7).
+    let chunk_partials = fan_out(
+        guard,
+        &mut span,
+        "lattice_aggregate",
+        n,
+        stats,
+        |chunk, wstats, wspan| -> Result<Vec<ShardPartial>> {
+            let mut states = make_states();
+            match &root {
+                RootCoder::Dense(coder) => scan_dense(
+                    coder,
+                    &projs,
+                    &mut states,
+                    &srcs,
+                    chunk,
+                    guard,
+                    wstats,
+                    wspan,
+                )?,
+                RootCoder::Wide(coder) => scan_wide(
+                    coder,
+                    &projs,
+                    &mut states,
+                    &srcs,
+                    chunk,
+                    guard,
+                    wstats,
+                    wspan,
+                )?,
             }
+            Ok(worker_partials(
+                input, group_cols, levels, &projs, aggs, states,
+            ))
+        },
+    )?;
+    let mut chunk_partials = chunk_partials.into_iter();
+    let mut partials = chunk_partials.next().expect("at least one chunk");
+    for wp in chunk_partials {
+        for (dst, src) in partials.iter_mut().zip(wp) {
+            dst.merge(src)?;
         }
-        merged
-    };
+    }
 
     let out_rows: u64 = partials.iter().map(|p| p.num_groups() as u64).sum();
     guard.charge(out_rows)?;
@@ -639,31 +593,15 @@ pub fn lattice_aggregate_with_config(
     Ok(Some(partials))
 }
 
-/// [`lattice_aggregate_with_config`] under the environment configuration.
-pub fn lattice_aggregate_guarded(
-    input: &Table,
-    group_cols: &[usize],
-    aggs: &[AggSpec],
-    levels: &[Vec<usize>],
-    guard: &ResourceGuard,
-    stats: &mut ExecStats,
-) -> Result<Option<Vec<ShardPartial>>> {
-    lattice_aggregate_with_config(
-        input,
-        group_cols,
-        aggs,
-        levels,
-        guard,
-        stats,
-        &ParallelConfig::from_env(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::aggregate::multi_hash_aggregate_with_config;
+    use crate::ops::aggregate::multi_hash_aggregate;
+    use crate::parallel::ParallelConfig;
     use pa_storage::{Schema, Value};
+
+    /// The unlimited guard the direct operator calls below run under.
+    const G: ResourceGuard = ResourceGuard::unlimited();
 
     /// Four enumerable dimensions plus a float measure, with NULLs in the
     /// keys and the measure. Integer-valued floats keep worker-subtotal
@@ -741,14 +679,13 @@ mod tests {
         let levels = prefix_levels();
         let config = cfg(threads, dense_budget);
         let mut st = ExecStats::default();
-        let partials = lattice_aggregate_with_config(
+        let partials = lattice_aggregate(
             &t,
             &[0, 1, 2, 3],
             &aggs,
             &levels,
-            &ResourceGuard::unlimited(),
+            &G.with_config(config),
             &mut st,
-            &config,
         )
         .unwrap()
         .expect("eligible plan fuses");
@@ -766,12 +703,11 @@ mod tests {
             })
             .collect();
         let mut ref_st = ExecStats::default();
-        let reference = multi_hash_aggregate_with_config(
+        let reference = multi_hash_aggregate(
             &t,
             &ref_levels,
-            &ResourceGuard::unlimited(),
+            &G.with_config(ParallelConfig::serial()),
             &mut ref_st,
-            &ParallelConfig::serial(),
         )
         .unwrap();
         for ((partial, reference), dims) in partials.into_iter().zip(reference).zip(&levels) {
@@ -808,14 +744,13 @@ mod tests {
         let t = fact(2_000);
         let aggs = specs(&t);
         let mut st = ExecStats::default();
-        let partials = lattice_aggregate_with_config(
+        let partials = lattice_aggregate(
             &t,
             &[0, 1, 2, 3],
             &aggs,
             &[vec![0, 1], vec![2]],
-            &ResourceGuard::unlimited(),
+            &G.with_config(cfg(1, 1 << 20)),
             &mut st,
-            &cfg(1, 1 << 20),
         )
         .unwrap()
         .unwrap();
@@ -833,107 +768,55 @@ mod tests {
     fn ineligible_plans_fall_back() {
         let t = fact(100);
         let aggs = specs(&t);
-        let guard = ResourceGuard::unlimited();
+        let guard = G.with_config(cfg(1, 1 << 20));
         // Vectorization disabled.
-        let off = ParallelConfig {
+        let off = G.with_config(ParallelConfig {
             vector: false,
             ..cfg(1, 1 << 20)
-        };
+        });
         let mut st = ExecStats::default();
-        assert!(lattice_aggregate_with_config(
-            &t,
-            &[0, 1],
-            &aggs,
-            &[vec![0]],
-            &guard,
-            &mut st,
-            &off
-        )
-        .unwrap()
-        .is_none());
+        assert!(
+            lattice_aggregate(&t, &[0, 1], &aggs, &[vec![0]], &off, &mut st)
+                .unwrap()
+                .is_none()
+        );
         // Non-fusable lane (min).
         let min = vec![AggSpec::new(
             AggFunc::Min,
             Expr::col(t.schema(), "amt").unwrap(),
             "m",
         )];
-        assert!(lattice_aggregate_with_config(
-            &t,
-            &[0, 1],
-            &min,
-            &[vec![0]],
-            &guard,
-            &mut st,
-            &cfg(1, 1 << 20)
-        )
-        .unwrap()
-        .is_none());
+        assert!(
+            lattice_aggregate(&t, &[0, 1], &min, &[vec![0]], &guard, &mut st)
+                .unwrap()
+                .is_none()
+        );
         // Float key dimension: neither code space builds.
-        assert!(lattice_aggregate_with_config(
-            &t,
-            &[4],
-            &aggs,
-            &[vec![0]],
-            &guard,
-            &mut st,
-            &cfg(1, 1 << 20)
-        )
-        .unwrap()
-        .is_none());
+        assert!(
+            lattice_aggregate(&t, &[4], &aggs, &[vec![0]], &guard, &mut st)
+                .unwrap()
+                .is_none()
+        );
         // Malformed level (not a subset) is an error, not a fallback.
-        assert!(lattice_aggregate_with_config(
-            &t,
-            &[0, 1],
-            &aggs,
-            &[vec![2]],
-            &guard,
-            &mut st,
-            &cfg(1, 1 << 20)
-        )
-        .is_err());
+        assert!(lattice_aggregate(&t, &[0, 1], &aggs, &[vec![2]], &guard, &mut st).is_err());
         // Unordered level is an error too.
-        assert!(lattice_aggregate_with_config(
-            &t,
-            &[0, 1],
-            &aggs,
-            &[vec![1, 0]],
-            &guard,
-            &mut st,
-            &cfg(1, 1 << 20)
-        )
-        .is_err());
+        assert!(lattice_aggregate(&t, &[0, 1], &aggs, &[vec![1, 0]], &guard, &mut st).is_err());
     }
 
     #[test]
     fn guard_budget_and_cancellation_stop_the_fused_scan() {
         let t = fact(20_000);
         let aggs = specs(&t);
-        let guard = ResourceGuard::with_row_budget(1_000);
+        let guard = ResourceGuard::with_row_budget(1_000).with_config(cfg(4, 1 << 20));
         let mut st = ExecStats::default();
-        let err = lattice_aggregate_with_config(
-            &t,
-            &[0, 1, 2, 3],
-            &aggs,
-            &prefix_levels(),
-            &guard,
-            &mut st,
-            &cfg(4, 1 << 20),
-        )
-        .unwrap_err();
+        let err = lattice_aggregate(&t, &[0, 1, 2, 3], &aggs, &prefix_levels(), &guard, &mut st)
+            .unwrap_err();
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
 
-        let guard = ResourceGuard::with_row_budget(u64::MAX);
+        let guard = ResourceGuard::with_row_budget(u64::MAX).with_config(cfg(4, 1 << 20));
         guard.cancel();
-        let err = lattice_aggregate_with_config(
-            &t,
-            &[0, 1, 2, 3],
-            &aggs,
-            &prefix_levels(),
-            &guard,
-            &mut st,
-            &cfg(4, 1 << 20),
-        )
-        .unwrap_err();
+        let err = lattice_aggregate(&t, &[0, 1, 2, 3], &aggs, &prefix_levels(), &guard, &mut st)
+            .unwrap_err();
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         assert_eq!(guard.rows_charged(), 0, "no morsel was admitted");
     }
@@ -943,14 +826,13 @@ mod tests {
         let t = fact(0);
         let aggs = specs(&t);
         let mut st = ExecStats::default();
-        let partials = lattice_aggregate_with_config(
+        let partials = lattice_aggregate(
             &t,
             &[0, 1],
             &aggs,
             &[vec![0], vec![0, 1]],
-            &ResourceGuard::unlimited(),
+            &G.with_config(cfg(1, 1 << 20)),
             &mut st,
-            &cfg(1, 1 << 20),
         )
         .unwrap()
         .unwrap();

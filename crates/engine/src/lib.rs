@@ -26,6 +26,7 @@ pub mod sketch;
 pub mod stats;
 pub mod vector;
 
+pub use chaos::ChaosTrigger;
 pub use clock::{Clock, SystemClock, TestClock};
 pub use error::{EngineError, Result};
 pub use expr::{ArithOp, CmpOp, Expr};
@@ -34,17 +35,15 @@ pub use keymap::{
     DenseGroupMap, DenseKeySpace, GroupMap, RowKeyMap, WideKeySpace, WideProjector,
     DEFAULT_DENSE_BUDGET,
 };
-pub use lattice_kernel::{lattice_aggregate_guarded, lattice_aggregate_with_config};
+pub use lattice_kernel::lattice_aggregate;
 pub use ops::acc::{Acc, PartialState, PctState, DEFAULT_PERCENTILE_BUDGET};
 pub use ops::aggregate::{
-    hash_aggregate, hash_aggregate_guarded, hash_aggregate_with_config, multi_hash_aggregate,
-    multi_hash_aggregate_guarded, multi_hash_aggregate_with_config, resolve_cols, AggFunc, AggSpec,
-    PBits,
+    hash_aggregate, multi_hash_aggregate, resolve_cols, AggFunc, AggSpec, PBits,
 };
 pub use ops::distinct::{distinct, distinct_keys};
 pub use ops::filter::filter;
 pub use ops::insert::{create_table_as, insert_into};
-pub use ops::join::{hash_join, hash_join_guarded, JoinType};
+pub use ops::join::{hash_join, JoinType};
 pub use ops::partial::{partial_aggregate, ShardPartial};
 pub use ops::project::{project, ProjSpec};
 pub use ops::sort::{sort, sort_permutation};

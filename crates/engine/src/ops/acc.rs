@@ -31,17 +31,9 @@ use crate::sketch::{Hll, TDigest};
 use pa_storage::partial::{frame, put_f64, put_i64, put_u32, put_u64, put_value, unframe, Cursor};
 use pa_storage::{StorageError, Value};
 
-/// Default per-group sample budget for exact `percentile` before the
-/// state spills to a t-digest (override with `PA_PERCENTILE_BUDGET`).
+/// Per-group sample budget for exact `percentile` before the state spills
+/// to a t-digest.
 pub const DEFAULT_PERCENTILE_BUDGET: usize = 65_536;
-
-fn percentile_budget() -> usize {
-    std::env::var("PA_PERCENTILE_BUDGET")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_PERCENTILE_BUDGET)
-}
 
 /// The two-step aggregation contract: accumulate partials shard-locally,
 /// then merge and finalize anywhere — with a versioned byte form in
@@ -164,7 +156,7 @@ impl Acc {
             AggFunc::Max => Acc::Max(Value::Null),
             AggFunc::Percentile(p) => Acc::Percentile {
                 p: p.value(),
-                budget: percentile_budget(),
+                budget: DEFAULT_PERCENTILE_BUDGET,
                 state: PctState::Exact(Vec::new()),
             },
             AggFunc::ApproxPercentile(p) => Acc::ApproxPercentile {
@@ -728,10 +720,9 @@ mod tests {
 
     #[test]
     fn percentile_spills_to_digest_past_budget() {
-        std::env::set_var("PA_PERCENTILE_BUDGET", "64");
+        let n = 2 * DEFAULT_PERCENTILE_BUDGET as i64;
         let mut acc = Acc::new(AggFunc::Percentile(PBits::new(0.5)));
-        std::env::remove_var("PA_PERCENTILE_BUDGET");
-        for i in 0..1000 {
+        for i in 0..n {
             acc.update(&Value::Int(i)).unwrap();
         }
         assert!(acc.spilled());
@@ -739,7 +730,11 @@ mod tests {
             Value::Float(x) => x,
             v => panic!("expected float, got {v}"),
         };
-        assert!((med - 499.5).abs() < 50.0, "spilled median ~499.5: {med}");
+        let mid = (n - 1) as f64 / 2.0;
+        assert!(
+            (med - mid).abs() < n as f64 / 20.0,
+            "spilled median ~{mid}: {med}"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::expr::Expr;
 use crate::guard::ResourceGuard;
 use crate::keymap::{DenseKeySpace, GroupMap, WideKeySpace};
 use crate::ops::acc::Acc;
-use crate::parallel::ParallelConfig;
+use crate::parallel::{fan_out, ParallelConfig};
 use crate::stats::ExecStats;
 use crate::vector::{BlockCoder, FusedAgg, FusedWideAgg, LaneSrc, NumSlice, WideCoder};
 use pa_obs::SpanHandle;
@@ -71,7 +71,7 @@ pub enum AggFunc {
     /// `percentile(expr, p)` — exact PERCENTILE_CONT (linear
     /// interpolation). `median(expr)` is sugar for `p = 0.5`. Holistic:
     /// the partial retains its samples, spilling to a t-digest past the
-    /// per-group budget (`PA_PERCENTILE_BUDGET`).
+    /// per-group budget ([`DEFAULT_PERCENTILE_BUDGET`](crate::DEFAULT_PERCENTILE_BUDGET)).
     Percentile(PBits),
     /// `approx_percentile(expr, p)` — t-digest estimate, bounded state.
     ApproxPercentile(PBits),
@@ -247,43 +247,40 @@ struct Level {
 }
 
 impl Level {
-    /// Whether this level can run the fused vectorized pipeline: a dense
-    /// group map whose every dimension reads through a packed/typed vector,
-    /// and only typed numeric / `count(*)` lanes. The decision is a pure
-    /// function of the (level, input, config) triple, so every worker chunk
-    /// agrees with the planning pass in [`multi_hash_aggregate_with_config`].
-    fn fused_coder<'a>(&self, input: &'a Table, config: &ParallelConfig) -> Option<BlockCoder<'a>> {
-        if !config.vector || self.group_cols.is_empty() {
-            return None;
-        }
-        if self.kernels.iter().any(|k| matches!(k, Kernel::Generic)) {
-            return None;
-        }
-        let GroupMap::Dense(map) = &self.map else {
-            return None;
-        };
-        BlockCoder::try_new(input, map.space())
+    /// Whether this level's lanes and keys admit a fused vectorized
+    /// pipeline at all: vectors enabled, a non-empty key, and only typed
+    /// numeric / `count(*)` lanes. The decision is a pure function of the
+    /// (level, config) pair, so every worker chunk agrees with the planning
+    /// pass in [`multi_hash_aggregate`].
+    fn fusable(&self, config: &ParallelConfig) -> bool {
+        config.vector
+            && !self.group_cols.is_empty()
+            && !self.kernels.iter().any(|k| matches!(k, Kernel::Generic))
     }
 
-    /// Whether this level can run the fused pipeline on the **hash** group
-    /// path: the dense space was refused (over budget), but the dimensions
-    /// shift-pack into a `u64` and every dimension reads through a
-    /// packed/typed vector. Same lane discipline as [`Self::fused_coder`].
+    /// The fused pipeline on a dense group map whose every dimension reads
+    /// through a packed/typed vector.
+    fn fused_coder<'a>(&self, input: &'a Table, config: &ParallelConfig) -> Option<BlockCoder<'a>> {
+        match &self.map {
+            GroupMap::Dense(map) if self.fusable(config) => BlockCoder::try_new(input, map.space()),
+            _ => None,
+        }
+    }
+
+    /// The fused pipeline on the **hash** group path: the dense space was
+    /// refused (over budget), but the dimensions shift-pack into a `u64`
+    /// and every dimension reads through a packed/typed vector.
     fn fused_wide_coder<'a>(
         &self,
         input: &'a Table,
         config: &ParallelConfig,
     ) -> Option<WideCoder<'a>> {
-        if !config.vector || self.group_cols.is_empty() {
-            return None;
+        match &self.map {
+            GroupMap::Hash(_) if self.fusable(config) => {
+                WideCoder::try_new(input, self.wide.as_ref()?)
+            }
+            _ => None,
         }
-        if self.kernels.iter().any(|k| matches!(k, Kernel::Generic)) {
-            return None;
-        }
-        if !matches!(self.map, GroupMap::Hash(_)) {
-            return None;
-        }
-        WideCoder::try_new(input, self.wide.as_ref()?)
     }
 
     /// The fused lane sources for a level whose kernels passed the
@@ -451,13 +448,15 @@ impl Level {
     }
 }
 
-/// Hash-aggregate `input` grouped by `group_cols` computing `aggs`.
+/// Hash-aggregate `input` grouped by `group_cols` computing `aggs`, under
+/// `guard`: scanned and materialized rows are charged against its budget,
+/// and the scan runs with its [`ParallelConfig`](crate::ParallelConfig).
 ///
 /// With an empty `group_cols`, produces exactly one global row (even for an
 /// empty input — SQL global aggregates always return one row).
 ///
 /// ```
-/// use pa_engine::{hash_aggregate, AggSpec, ExecStats};
+/// use pa_engine::{hash_aggregate, AggSpec, ExecStats, ResourceGuard};
 /// use pa_storage::{DataType, Schema, Table, Value};
 ///
 /// let schema = Schema::from_pairs(&[("d", DataType::Str), ("a", DataType::Float)])
@@ -470,7 +469,9 @@ impl Level {
 ///
 /// let spec = AggSpec::sum_col(f.schema(), "a", "total").unwrap();
 /// let mut stats = ExecStats::default();
-/// let out = hash_aggregate(&f, &[0], &[spec], &mut stats).unwrap().sorted_by(&[0]);
+/// let out = hash_aggregate(&f, &[0], &[spec], &ResourceGuard::unlimited(), &mut stats)
+///     .unwrap()
+///     .sorted_by(&[0]);
 /// assert_eq!(out.get(0, 1), Value::Float(5.0)); // x
 /// assert_eq!(out.get(1, 1), Value::Float(5.0)); // y
 /// assert_eq!(stats.rows_scanned, 3);
@@ -479,73 +480,12 @@ pub fn hash_aggregate(
     input: &Table,
     group_cols: &[usize],
     aggs: &[AggSpec],
-    stats: &mut ExecStats,
-) -> Result<Table> {
-    hash_aggregate_guarded(input, group_cols, aggs, &ResourceGuard::unlimited(), stats)
-}
-
-/// [`hash_aggregate`] under a [`ResourceGuard`]: scanned and materialized
-/// rows are charged against the guard's budget. Parallelism follows the
-/// environment configuration ([`ParallelConfig::from_env`]).
-pub fn hash_aggregate_guarded(
-    input: &Table,
-    group_cols: &[usize],
-    aggs: &[AggSpec],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<Table> {
-    hash_aggregate_with_config(
-        input,
-        group_cols,
-        aggs,
-        guard,
-        stats,
-        &ParallelConfig::from_env(),
-    )
-}
-
-/// [`hash_aggregate_guarded`] with an explicit [`ParallelConfig`] (tests and
-/// benches pin thread counts here instead of racing on env vars).
-pub fn hash_aggregate_with_config(
-    input: &Table,
-    group_cols: &[usize],
-    aggs: &[AggSpec],
-    guard: &ResourceGuard,
-    stats: &mut ExecStats,
-    config: &ParallelConfig,
-) -> Result<Table> {
-    let mut tables = multi_hash_aggregate_with_config(
-        input,
-        &[(group_cols.to_vec(), aggs.to_vec())],
-        guard,
-        stats,
-        config,
-    )?;
+    let mut tables =
+        multi_hash_aggregate(input, &[(group_cols.to_vec(), aggs.to_vec())], guard, stats)?;
     Ok(tables.pop().expect("one level in, one table out"))
-}
-
-/// Aggregate at several grouping levels in **one pass** over `input` —
-/// the paper's synchronized-scan optimization for computing `Fk` and `Fj`
-/// together.
-pub fn multi_hash_aggregate(
-    input: &Table,
-    levels: &[(Vec<usize>, Vec<AggSpec>)],
-    stats: &mut ExecStats,
-) -> Result<Vec<Table>> {
-    multi_hash_aggregate_guarded(input, levels, &ResourceGuard::unlimited(), stats)
-}
-
-/// [`multi_hash_aggregate`] under a [`ResourceGuard`]: the input scan is
-/// charged morsel by morsel (so cancellation and budget exhaustion land
-/// within one morsel), and every output group row is charged before
-/// materialization. Parallelism follows [`ParallelConfig::from_env`].
-pub fn multi_hash_aggregate_guarded(
-    input: &Table,
-    levels: &[(Vec<usize>, Vec<AggSpec>)],
-    guard: &ResourceGuard,
-    stats: &mut ExecStats,
-) -> Result<Vec<Table>> {
-    multi_hash_aggregate_with_config(input, levels, guard, stats, &ParallelConfig::from_env())
 }
 
 /// Scan `chunk` of `input` morsel by morsel, absorbing into `lvls`.
@@ -563,9 +503,9 @@ fn scan_chunk(
     chunk: std::ops::Range<usize>,
     guard: &ResourceGuard,
     stats: &mut ExecStats,
-    config: &ParallelConfig,
     span: &mut SpanHandle,
 ) -> Result<()> {
+    let config = guard.config();
     let mut execs: Vec<LevelExec> = lvls
         .iter_mut()
         .map(|lvl| lvl.begin_chunk(input, config, stats))
@@ -598,27 +538,23 @@ fn scan_chunk(
     result
 }
 
-/// [`multi_hash_aggregate_guarded`] with an explicit [`ParallelConfig`].
-pub fn multi_hash_aggregate_with_config(
+/// Aggregate at several grouping levels in **one pass** over `input` —
+/// the paper's synchronized-scan optimization for computing `Fk` and `Fj`
+/// together.
+///
+/// The input scan is charged to `guard` morsel by morsel (so cancellation
+/// and budget exhaustion land within one morsel), and every output group
+/// row is charged before materialization. Parallelism follows the guard's
+/// [`ParallelConfig`](crate::ParallelConfig).
+pub fn multi_hash_aggregate(
     input: &Table,
     levels: &[(Vec<usize>, Vec<AggSpec>)],
     guard: &ResourceGuard,
     stats: &mut ExecStats,
-    config: &ParallelConfig,
 ) -> Result<Vec<Table>> {
+    let config = guard.config();
     for (cols, aggs) in levels {
-        for &c in cols {
-            if c >= input.num_columns() {
-                return Err(EngineError::InvalidOperator(format!(
-                    "group column {c} out of range"
-                )));
-            }
-        }
-        if aggs.is_empty() {
-            return Err(EngineError::InvalidOperator(
-                "aggregation requires at least one aggregate term".into(),
-            ));
-        }
+        check_aggregate(input, cols, aggs)?;
     }
     stats.statements += 1;
     stats.holistic_lanes += levels
@@ -683,7 +619,6 @@ pub fn multi_hash_aggregate_with_config(
 
     let n = input.num_rows();
     stats.rows_scanned += n as u64;
-    let chunks = config.chunks(n);
     let mut span = guard.span("aggregate");
 
     // Plan-level kernel-path summary — the same predicate as
@@ -714,83 +649,28 @@ pub fn multi_hash_aggregate_with_config(
         "scalar"
     });
 
-    let mut lvls: Vec<Level> = if chunks.len() <= 1 {
-        let mut lvls = make_levels();
-        scan_chunk(input, &mut lvls, 0..n, guard, stats, config, &mut span)?;
-        lvls
-    } else {
-        // Fan the contiguous chunks out over scoped workers; each builds
-        // thread-local partials and its own stats. Panics are contained at
-        // the thread boundary: the panicking worker cancels its siblings
-        // through the shared guard (they stop at their next morsel) and the
-        // panic surfaces as a typed `WorkerPanicked`, never an unwind into
-        // the caller.
-        type WorkerOut = Result<(Vec<Level>, ExecStats)>;
-        let panicked = |p| EngineError::WorkerPanicked {
-            operator: "multi_hash_aggregate".into(),
-            payload: crate::error::panic_payload(p),
-        };
-        let worker_results: Vec<WorkerOut> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .enumerate()
-                .map(|(w, chunk)| {
-                    let make_levels = &make_levels;
-                    let panicked = &panicked;
-                    // Each worker times itself on a child span keyed by its
-                    // worker index, so the merged trace orders workers
-                    // deterministically regardless of close order.
-                    let mut wspan = span.child("worker", w as u32);
-                    s.spawn(move || -> WorkerOut {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> WorkerOut {
-                            let mut lvls = make_levels();
-                            let mut wstats = ExecStats::default();
-                            scan_chunk(
-                                input,
-                                &mut lvls,
-                                chunk,
-                                guard,
-                                &mut wstats,
-                                config,
-                                &mut wspan,
-                            )?;
-                            Ok((lvls, wstats))
-                        }))
-                        .unwrap_or_else(|p| {
-                            guard.cancel();
-                            Err(panicked(p))
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| Err(panicked(p))))
-                .collect()
-        });
-        // A worker panic is the root cause; the Cancelled errors it induced
-        // in siblings (possibly earlier in worker order) are secondary.
-        if let Some(Err(e)) = worker_results
-            .iter()
-            .find(|r| matches!(r, Err(EngineError::WorkerPanicked { .. })))
-        {
-            return Err(e.clone());
+    let partials = fan_out(
+        guard,
+        &mut span,
+        "multi_hash_aggregate",
+        n,
+        stats,
+        |chunk, wstats, wspan| -> Result<Vec<Level>> {
+            let mut lvls = make_levels();
+            scan_chunk(input, &mut lvls, chunk, guard, wstats, wspan)?;
+            Ok(lvls)
+        },
+    )?;
+    // Deterministic ordered merge: the first chunk's partial seeds the
+    // global tables (its group order is the serial prefix order), later
+    // chunks fold in, in worker order.
+    let mut partials = partials.into_iter();
+    let mut lvls = partials.next().expect("at least one chunk");
+    for wl in partials {
+        for (dst, src) in lvls.iter_mut().zip(wl) {
+            dst.merge_from(src, stats)?;
         }
-        // Deterministic ordered merge: worker 0's partial seeds the global
-        // tables (its group order is the serial prefix order), later
-        // workers fold in, in worker order.
-        let mut iter = worker_results.into_iter();
-        let (mut merged, wstats) = iter.next().expect("at least one worker")?;
-        *stats += wstats;
-        for result in iter {
-            let (wl, wstats) = result?;
-            *stats += wstats;
-            for (dst, src) in merged.iter_mut().zip(wl) {
-                dst.merge_from(src, stats)?;
-            }
-        }
-        merged
-    };
+    }
 
     // Global aggregates return one row even over empty input.
     for lvl in &mut lvls {
@@ -809,6 +689,22 @@ pub fn multi_hash_aggregate_with_config(
         .collect()
 }
 
+/// Reject group columns outside `input` and empty aggregate lists — the
+/// argument checks every aggregation operator shares.
+pub(crate) fn check_aggregate(input: &Table, group_cols: &[usize], aggs: &[AggSpec]) -> Result<()> {
+    if let Some(c) = group_cols.iter().find(|&&c| c >= input.num_columns()) {
+        return Err(EngineError::InvalidOperator(format!(
+            "group column {c} out of range"
+        )));
+    }
+    if aggs.is_empty() {
+        return Err(EngineError::InvalidOperator(
+            "aggregation requires at least one aggregate term".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Group-by column resolution by name, shared by callers.
 pub fn resolve_cols(schema: &Schema, names: &[&str]) -> Result<Vec<usize>> {
     names
@@ -821,6 +717,9 @@ pub fn resolve_cols(schema: &Schema, names: &[&str]) -> Result<Vec<usize>> {
 mod tests {
     use super::*;
     use pa_storage::{Schema, Value};
+
+    /// The unlimited guard the direct operator calls below run under.
+    const G: ResourceGuard = ResourceGuard::unlimited();
 
     /// The paper's Table 1 fact table.
     fn sales() -> Table {
@@ -898,7 +797,7 @@ mod tests {
     fn fine_level_aggregation_matches_paper_example() {
         let f = sales();
         let mut st = ExecStats::default();
-        let fk = hash_aggregate(&f, &[0, 1], &[sum_a(&f)], &mut st).unwrap();
+        let fk = hash_aggregate(&f, &[0, 1], &[sum_a(&f)], &G, &mut st).unwrap();
         assert_eq!(fk.num_rows(), 4);
         let sorted = fk.sorted_by(&[0, 1]);
         let rows: Vec<Vec<Value>> = sorted.rows().collect();
@@ -935,10 +834,10 @@ mod tests {
         // sum() is distributive: Fj from Fk == Fj from F.
         let f = sales();
         let mut st = ExecStats::default();
-        let fk = hash_aggregate(&f, &[0, 1], &[sum_a(&f)], &mut st).unwrap();
-        let fj_from_f = hash_aggregate(&f, &[0], &[sum_a(&f)], &mut st).unwrap();
+        let fk = hash_aggregate(&f, &[0, 1], &[sum_a(&f)], &G, &mut st).unwrap();
+        let fj_from_f = hash_aggregate(&f, &[0], &[sum_a(&f)], &G, &mut st).unwrap();
         let spec = AggSpec::sum_col(fk.schema(), "A", "A").unwrap();
-        let fj_from_fk = hash_aggregate(&fk, &[0], &[spec], &mut st).unwrap();
+        let fj_from_fk = hash_aggregate(&fk, &[0], &[spec], &G, &mut st).unwrap();
         let a: Vec<Vec<Value>> = fj_from_f.sorted_by(&[0]).rows().collect();
         let b: Vec<Vec<Value>> = fj_from_fk.sorted_by(&[0]).rows().collect();
         assert_eq!(a, b);
@@ -950,7 +849,7 @@ mod tests {
     fn global_aggregation_no_group_by() {
         let f = sales();
         let mut st = ExecStats::default();
-        let g = hash_aggregate(&f, &[], &[sum_a(&f)], &mut st).unwrap();
+        let g = hash_aggregate(&f, &[], &[sum_a(&f)], &G, &mut st).unwrap();
         assert_eq!(g.num_rows(), 1);
         assert_eq!(g.get(0, 0), Value::Float(255.0));
     }
@@ -960,7 +859,7 @@ mod tests {
         let f = Table::empty(sales().schema().clone());
         let mut st = ExecStats::default();
         let spec = AggSpec::sum_col(f.schema(), "salesAmt", "A").unwrap();
-        let g = hash_aggregate(&f, &[], &[spec], &mut st).unwrap();
+        let g = hash_aggregate(&f, &[], &[spec], &G, &mut st).unwrap();
         assert_eq!(g.num_rows(), 1);
         assert_eq!(g.get(0, 0), Value::Null, "sum of nothing is NULL");
     }
@@ -976,7 +875,7 @@ mod tests {
         t.push_row(&[Value::Int(2), Value::Null]).unwrap();
         let spec = AggSpec::sum_col(t.schema(), "a", "s").unwrap();
         let mut st = ExecStats::default();
-        let out = hash_aggregate(&t, &[0], &[spec], &mut st)
+        let out = hash_aggregate(&t, &[0], &[spec], &G, &mut st)
             .unwrap()
             .sorted_by(&[0]);
         assert_eq!(out.get(0, 1), Value::Float(5.0));
@@ -997,7 +896,7 @@ mod tests {
             AggSpec::new(AggFunc::CountStar, Expr::lit(1), "cnt_star"),
         ];
         let mut st = ExecStats::default();
-        let out = hash_aggregate(&t, &[0], &specs, &mut st).unwrap();
+        let out = hash_aggregate(&t, &[0], &specs, &G, &mut st).unwrap();
         assert_eq!(out.get(0, 1), Value::Int(1));
         assert_eq!(out.get(0, 2), Value::Int(2));
     }
@@ -1012,7 +911,7 @@ mod tests {
             AggSpec::new(AggFunc::Max, a, "max"),
         ];
         let mut st = ExecStats::default();
-        let out = hash_aggregate(&f, &[0], &specs, &mut st)
+        let out = hash_aggregate(&f, &[0], &specs, &G, &mut st)
             .unwrap()
             .sorted_by(&[0]);
         // CA: 13,3,67,23
@@ -1030,7 +929,7 @@ mod tests {
             AggSpec::new(AggFunc::Max, c, "last_city"),
         ];
         let mut st = ExecStats::default();
-        let out = hash_aggregate(&f, &[0], &specs, &mut st)
+        let out = hash_aggregate(&f, &[0], &specs, &G, &mut st)
             .unwrap()
             .sorted_by(&[0]);
         assert_eq!(out.get(0, 1), Value::str("Los Angeles"));
@@ -1042,7 +941,7 @@ mod tests {
         let f = sales();
         let mut st = ExecStats::default();
         let levels = vec![(vec![0, 1], vec![sum_a(&f)]), (vec![0], vec![sum_a(&f)])];
-        let out = multi_hash_aggregate(&f, &levels, &mut st).unwrap();
+        let out = multi_hash_aggregate(&f, &levels, &G, &mut st).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].num_rows(), 4);
         assert_eq!(out[1].num_rows(), 2);
@@ -1064,7 +963,7 @@ mod tests {
         };
         let spec = AggSpec::new(AggFunc::Sum, case, "dallas");
         let mut st = ExecStats::default();
-        let out = hash_aggregate(&f, &[0], &[spec], &mut st)
+        let out = hash_aggregate(&f, &[0], &[spec], &G, &mut st)
             .unwrap()
             .sorted_by(&[0]);
         assert_eq!(out.get(0, 1), Value::Null, "CA has no Dallas rows");
@@ -1088,7 +987,7 @@ mod tests {
             "dx",
         );
         let mut st = ExecStats::default();
-        let out = hash_aggregate(&t, &[0], &[spec], &mut st)
+        let out = hash_aggregate(&t, &[0], &[spec], &G, &mut st)
             .unwrap()
             .sorted_by(&[0]);
         assert_eq!(out.get(0, 1), Value::Int(2), "a, b");
@@ -1110,7 +1009,7 @@ mod tests {
             AggSpec::new(AggFunc::ApproxCountDistinct, a, "adx"),
         ];
         let mut st = ExecStats::default();
-        let out = hash_aggregate(&f, &[0], &specs, &mut st)
+        let out = hash_aggregate(&f, &[0], &specs, &G, &mut st)
             .unwrap()
             .sorted_by(&[0]);
         // CA amounts: 3, 13, 23, 67 → median (13+23)/2 = 18.
@@ -1131,8 +1030,8 @@ mod tests {
     #[test]
     fn validates_inputs() {
         let f = sales();
-        assert!(hash_aggregate(&f, &[99], &[sum_a(&f)], &mut ExecStats::default()).is_err());
-        assert!(hash_aggregate(&f, &[0], &[], &mut ExecStats::default()).is_err());
+        assert!(hash_aggregate(&f, &[99], &[sum_a(&f)], &G, &mut ExecStats::default()).is_err());
+        assert!(hash_aggregate(&f, &[0], &[], &G, &mut ExecStats::default()).is_err());
     }
 
     #[test]
@@ -1142,7 +1041,7 @@ mod tests {
         // 10 input rows > 5-row budget: the whole table is one morsel, so
         // the first charge fails before absorbing.
         let guard = ResourceGuard::with_row_budget(5);
-        let err = hash_aggregate_guarded(&f, &[0], &[sum_a(&f)], &guard, &mut st).unwrap_err();
+        let err = hash_aggregate(&f, &[0], &[sum_a(&f)], &guard, &mut st).unwrap_err();
         assert!(
             matches!(err, EngineError::BudgetExceeded { budget: 5, .. }),
             "{err}"
@@ -1150,14 +1049,14 @@ mod tests {
 
         // 10 scanned + 2 groups fits a 12-row budget exactly.
         let guard = ResourceGuard::with_row_budget(12);
-        let out = hash_aggregate_guarded(&f, &[0], &[sum_a(&f)], &guard, &mut st).unwrap();
+        let out = hash_aggregate(&f, &[0], &[sum_a(&f)], &guard, &mut st).unwrap();
         assert_eq!(out.num_rows(), 2);
         assert_eq!(guard.rows_charged(), 12);
 
         // 10 scanned + 4 groups does not fit 12: the failure comes from the
         // materialization charge, after the scan succeeded.
         let guard = ResourceGuard::with_row_budget(12);
-        let err = hash_aggregate_guarded(&f, &[0, 1], &[sum_a(&f)], &guard, &mut st).unwrap_err();
+        let err = hash_aggregate(&f, &[0, 1], &[sum_a(&f)], &guard, &mut st).unwrap_err();
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
     }
 
@@ -1166,8 +1065,8 @@ mod tests {
         let f = sales();
         let guard = ResourceGuard::with_row_budget(u64::MAX);
         guard.cancel();
-        let err = hash_aggregate_guarded(&f, &[0], &[sum_a(&f)], &guard, &mut ExecStats::default())
-            .unwrap_err();
+        let err =
+            hash_aggregate(&f, &[0], &[sum_a(&f)], &guard, &mut ExecStats::default()).unwrap_err();
         assert!(matches!(err, EngineError::Cancelled), "{err}");
     }
 
@@ -1201,24 +1100,18 @@ mod tests {
         ];
         let levels = vec![(vec![0, 1], specs.clone()), (vec![1], specs)];
         let mut serial_stats = ExecStats::default();
-        let serial = multi_hash_aggregate_with_config(
+        let serial = multi_hash_aggregate(
             &t,
             &levels,
-            &ResourceGuard::unlimited(),
+            &G.with_config(ParallelConfig::serial()),
             &mut serial_stats,
-            &ParallelConfig::serial(),
         )
         .unwrap();
         for threads in [2, 4, 7] {
             let mut st = ExecStats::default();
-            let parallel = multi_hash_aggregate_with_config(
-                &t,
-                &levels,
-                &ResourceGuard::unlimited(),
-                &mut st,
-                &par(threads, 256),
-            )
-            .unwrap();
+            let parallel =
+                multi_hash_aggregate(&t, &levels, &G.with_config(par(threads, 256)), &mut st)
+                    .unwrap();
             for (s, p) in serial.iter().zip(&parallel) {
                 let s_rows: Vec<Vec<Value>> = s.rows().collect();
                 let p_rows: Vec<Vec<Value>> = p.rows().collect();
@@ -1237,16 +1130,11 @@ mod tests {
         for (threads, expect_workers) in [(1, 0), (4, 4)] {
             let tracer = Tracer::enabled(SystemClock::shared());
             let root = tracer.span("query");
-            let guard = ResourceGuard::counting().with_tracer(tracer.clone());
-            hash_aggregate_with_config(
-                &t,
-                &[0],
-                &specs,
-                &guard,
-                &mut ExecStats::default(),
-                &par(threads, 256),
-            )
-            .unwrap();
+            let guard = ResourceGuard::unlimited()
+                .metered()
+                .with_tracer(tracer.clone())
+                .with_config(par(threads, 256));
+            hash_aggregate(&t, &[0], &specs, &guard, &mut ExecStats::default()).unwrap();
             root.finish();
             let report = tracer.take_report();
             let agg = report
@@ -1275,14 +1163,13 @@ mod tests {
         let t = big(20_000, 11);
         // Budget admits a few morsels, nowhere near the full scan: some
         // worker's charge must trip it mid-flight.
-        let guard = ResourceGuard::with_row_budget(1_000);
-        let err = hash_aggregate_with_config(
+        let guard = ResourceGuard::with_row_budget(1_000).with_config(par(4, 128));
+        let err = hash_aggregate(
             &t,
             &[0],
             &[AggSpec::new(AggFunc::Sum, Expr::Col(2), "s")],
             &guard,
             &mut ExecStats::default(),
-            &par(4, 128),
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
@@ -1296,15 +1183,14 @@ mod tests {
     #[test]
     fn precancelled_guard_stops_every_parallel_worker_at_first_morsel() {
         let t = big(20_000, 11);
-        let guard = ResourceGuard::with_row_budget(u64::MAX);
+        let guard = ResourceGuard::with_row_budget(u64::MAX).with_config(par(4, 128));
         guard.cancel();
-        let err = hash_aggregate_with_config(
+        let err = hash_aggregate(
             &t,
             &[0],
             &[AggSpec::new(AggFunc::Sum, Expr::Col(2), "s")],
             &guard,
             &mut ExecStats::default(),
-            &par(4, 128),
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::Cancelled), "{err}");
@@ -1330,7 +1216,7 @@ mod tests {
             AggSpec::new(AggFunc::Avg, a.clone(), "m"),
             AggSpec::new(AggFunc::Count, a, "c"),
         ];
-        let out = hash_aggregate(&t, &[0], &specs, &mut ExecStats::default())
+        let out = hash_aggregate(&t, &[0], &specs, &G, &mut ExecStats::default())
             .unwrap()
             .sorted_by(&[0]);
         // NULL group first.

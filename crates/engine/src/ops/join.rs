@@ -36,33 +36,13 @@ pub enum JoinType {
 /// Join keys compare with grouping semantics (`NULL` matches `NULL`), which
 /// is what the generated plans need: group keys came out of GROUP BY, so a
 /// NULL dimension value is a legitimate group.
-pub fn hash_join(
-    left: &Table,
-    right: &Table,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    join_type: JoinType,
-    right_index: Option<&HashIndex>,
-    stats: &mut ExecStats,
-) -> Result<Table> {
-    hash_join_guarded(
-        left,
-        right,
-        left_keys,
-        right_keys,
-        join_type,
-        right_index,
-        &ResourceGuard::unlimited(),
-        stats,
-    )
-}
-
-/// [`hash_join`] under a [`ResourceGuard`]: both input scans are charged up
-/// front and output rows are charged in batches *during* the probe loop, so
-/// a skewed key that degenerates into a cross product trips the budget
-/// before the row-pair vectors grow unbounded.
+///
+/// Both input scans are charged to `guard` up front and output rows are
+/// charged in batches *during* the probe loop, so a skewed key that
+/// degenerates into a cross product trips the budget before the row-pair
+/// vectors grow unbounded.
 #[allow(clippy::too_many_arguments)]
-pub fn hash_join_guarded(
+pub fn hash_join(
     left: &Table,
     right: &Table,
     left_keys: &[usize],
@@ -184,6 +164,9 @@ mod tests {
     use super::*;
     use pa_storage::{DataType, Schema};
 
+    /// The unlimited guard the direct operator calls below run under.
+    const G: ResourceGuard = ResourceGuard::unlimited();
+
     fn fk() -> Table {
         let schema = Schema::from_pairs(&[
             ("state", DataType::Str),
@@ -221,7 +204,7 @@ mod tests {
     fn inner_join_fk_with_fj() {
         let (fk, fj) = (fk(), fj());
         let mut st = ExecStats::default();
-        let out = hash_join(&fk, &fj, &[0], &[0], JoinType::Inner, None, &mut st).unwrap();
+        let out = hash_join(&fk, &fj, &[0], &[0], JoinType::Inner, None, &G, &mut st).unwrap();
         assert_eq!(out.num_rows(), 4);
         // Renamed right columns.
         assert_eq!(out.schema().index_of("state.r").unwrap(), 3);
@@ -242,9 +225,10 @@ mod tests {
         fj.push_row(&[Value::str("CA"), Value::Float(106.0)])
             .unwrap();
         let mut st = ExecStats::default();
-        let inner = hash_join(&fk, &fj, &[0], &[0], JoinType::Inner, None, &mut st).unwrap();
+        let inner = hash_join(&fk, &fj, &[0], &[0], JoinType::Inner, None, &G, &mut st).unwrap();
         assert_eq!(inner.num_rows(), 2);
-        let outer = hash_join(&fk, &fj, &[0], &[0], JoinType::LeftOuter, None, &mut st).unwrap();
+        let outer =
+            hash_join(&fk, &fj, &[0], &[0], JoinType::LeftOuter, None, &G, &mut st).unwrap();
         assert_eq!(outer.num_rows(), 4);
         let s = outer.sorted_by(&[0, 1]);
         assert_eq!(s.get(2, 0), Value::str("TX"));
@@ -256,12 +240,32 @@ mod tests {
         let (fk, fj) = (fk(), fj());
         let idx = HashIndex::build(&fj, &[0]).unwrap();
         let mut st = ExecStats::default();
-        let out = hash_join(&fk, &fj, &[0], &[0], JoinType::Inner, Some(&idx), &mut st).unwrap();
+        let out = hash_join(
+            &fk,
+            &fj,
+            &[0],
+            &[0],
+            JoinType::Inner,
+            Some(&idx),
+            &G,
+            &mut st,
+        )
+        .unwrap();
         assert_eq!(out.num_rows(), 4);
         assert_eq!(st.hash_build_rows, 0, "no transient build with an index");
 
         let wrong = HashIndex::build(&fj, &[1]).unwrap();
-        assert!(hash_join(&fk, &fj, &[0], &[0], JoinType::Inner, Some(&wrong), &mut st).is_err());
+        assert!(hash_join(
+            &fk,
+            &fj,
+            &[0],
+            &[0],
+            JoinType::Inner,
+            Some(&wrong),
+            &G,
+            &mut st
+        )
+        .is_err());
     }
 
     #[test]
@@ -269,7 +273,7 @@ mod tests {
         let (fj, fk) = (fj(), fk());
         // Join small->large: each fj row matches two fk rows.
         let mut st = ExecStats::default();
-        let out = hash_join(&fj, &fk, &[0], &[0], JoinType::Inner, None, &mut st).unwrap();
+        let out = hash_join(&fj, &fk, &[0], &[0], JoinType::Inner, None, &G, &mut st).unwrap();
         assert_eq!(out.num_rows(), 4);
     }
 
@@ -283,7 +287,7 @@ mod tests {
         let mut b = Table::empty(schema);
         b.push_row(&[Value::Null, Value::Int(2)]).unwrap();
         let mut st = ExecStats::default();
-        let out = hash_join(&a, &b, &[0], &[0], JoinType::Inner, None, &mut st).unwrap();
+        let out = hash_join(&a, &b, &[0], &[0], JoinType::Inner, None, &G, &mut st).unwrap();
         assert_eq!(out.num_rows(), 1, "NULL group key matches NULL group key");
     }
 
@@ -301,8 +305,8 @@ mod tests {
         // Budget admits both scans (600) plus a few batches, not the full
         // product — the guard must trip inside the probe loop.
         let guard = crate::guard::ResourceGuard::with_row_budget(10_000);
-        let err = hash_join_guarded(&t, &t, &[0], &[0], JoinType::Inner, None, &guard, &mut st)
-            .unwrap_err();
+        let err =
+            hash_join(&t, &t, &[0], &[0], JoinType::Inner, None, &guard, &mut st).unwrap_err();
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         assert!(
             guard.rows_charged() < 30_000,
@@ -312,8 +316,7 @@ mod tests {
 
         // The same join under a sufficient budget completes.
         let guard = crate::guard::ResourceGuard::with_row_budget(100_000);
-        let out =
-            hash_join_guarded(&t, &t, &[0], &[0], JoinType::Inner, None, &guard, &mut st).unwrap();
+        let out = hash_join(&t, &t, &[0], &[0], JoinType::Inner, None, &guard, &mut st).unwrap();
         assert_eq!(out.num_rows(), 90_000);
     }
 
@@ -321,8 +324,8 @@ mod tests {
     fn key_arity_validated() {
         let (fk, fj) = (fk(), fj());
         let mut st = ExecStats::default();
-        assert!(hash_join(&fk, &fj, &[0, 1], &[0], JoinType::Inner, None, &mut st).is_err());
-        assert!(hash_join(&fk, &fj, &[], &[], JoinType::Inner, None, &mut st).is_err());
-        assert!(hash_join(&fk, &fj, &[9], &[0], JoinType::Inner, None, &mut st).is_err());
+        assert!(hash_join(&fk, &fj, &[0, 1], &[0], JoinType::Inner, None, &G, &mut st).is_err());
+        assert!(hash_join(&fk, &fj, &[], &[], JoinType::Inner, None, &G, &mut st).is_err());
+        assert!(hash_join(&fk, &fj, &[9], &[0], JoinType::Inner, None, &G, &mut st).is_err());
     }
 }

@@ -17,7 +17,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::ops::acc::Acc;
-use crate::ops::aggregate::{AggFunc, AggSpec, PBits};
+use crate::ops::aggregate::{check_aggregate, AggFunc, AggSpec, PBits};
 use crate::stats::ExecStats;
 use pa_storage::partial::{
     frame, frame_into, put_f64, put_string, put_u32, put_value, unframe, Cursor,
@@ -50,18 +50,7 @@ pub fn partial_aggregate(
     aggs: &[AggSpec],
     stats: &mut ExecStats,
 ) -> Result<ShardPartial> {
-    for &c in group_cols {
-        if c >= input.num_columns() {
-            return Err(EngineError::InvalidOperator(format!(
-                "group column {c} out of range"
-            )));
-        }
-    }
-    if aggs.is_empty() {
-        return Err(EngineError::InvalidOperator(
-            "aggregation requires at least one aggregate term".into(),
-        ));
-    }
+    check_aggregate(input, group_cols, aggs)?;
     stats.statements += 1;
     stats.holistic_lanes += aggs.iter().filter(|s| s.func.is_holistic()).count() as u64;
     let schema = input.schema();
@@ -418,6 +407,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::ops::aggregate::hash_aggregate;
+    use crate::ResourceGuard;
 
     fn sales() -> Table {
         let schema = Schema::from_pairs(&[("state", DataType::Str), ("a", DataType::Float)])
@@ -459,7 +449,7 @@ mod tests {
         let right = partial_aggregate(&slice(&t, 3..6), &[0], &sp, &mut st).unwrap();
         left.merge(right).unwrap();
         let merged = left.finalize(&mut st).unwrap();
-        let single = hash_aggregate(&t, &[0], &sp, &mut st)
+        let single = hash_aggregate(&t, &[0], &sp, &ResourceGuard::unlimited(), &mut st)
             .unwrap()
             .sorted_by(&[0]);
         let a: Vec<Vec<Value>> = merged.rows().collect();

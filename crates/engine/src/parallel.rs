@@ -14,8 +14,22 @@
 //! always selects the serial path. Two further knobs gate the code-path
 //! layers: `PA_DENSE_BUDGET` for the dense group path (DESIGN.md §10) and
 //! `PA_VECTOR` for the fused vectorized kernels (DESIGN.md §12).
+//!
+//! The configuration rides on the per-query [`ResourceGuard`]: the query
+//! executor calls [`ParallelConfig::from_env`] once when it mints each
+//! query's guard, and every operator of that query reads
+//! [`ResourceGuard::config`]. [`ParallelConfig::from_env`] is the only place
+//! in the engine that reads the environment.
+//!
+//! [`fan_out`] is the one scoped-thread harness all morsel-parallel
+//! operators share.
 
+use crate::error::{panic_payload, EngineError};
+use crate::guard::ResourceGuard;
+use crate::stats::ExecStats;
+use pa_obs::SpanHandle;
 use std::ops::Range;
+use std::panic::AssertUnwindSafe;
 
 /// Rows per morsel: the unit of guard charging and cancellation latency.
 /// Large enough to amortize the shared atomic `fetch_add`, small enough
@@ -77,26 +91,25 @@ impl ParallelConfig {
     /// [`std::thread::available_parallelism`]), `PA_MORSEL_ROWS`,
     /// `PA_MIN_PARALLEL_ROWS`, `PA_DENSE_BUDGET` (0 disables the dense
     /// group path). Invalid or zero values fall back to the defaults
-    /// (except the dense budget, where 0 is meaningful). Read per call so
-    /// benches can vary `PA_THREADS` between runs within one process.
+    /// (except the dense budget, where 0 is meaningful). The query executor
+    /// calls this once per query, when it mints the query's guard, so
+    /// benches can still vary `PA_THREADS` between queries within one
+    /// process.
+    // The one sanctioned environment reader (see clippy.toml).
+    #[allow(clippy::disallowed_methods)]
     pub fn from_env() -> ParallelConfig {
-        let parse = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&v| v > 0)
-        };
-        let threads = parse("PA_THREADS")
+        let var = |name: &str| std::env::var(name).ok();
+        let number = |name: &str| var(name).and_then(|v| v.trim().parse::<usize>().ok());
+        let positive = |name: &str| number(name).filter(|&v| v > 0);
+        let threads = positive("PA_THREADS")
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         ParallelConfig {
             threads,
-            morsel_rows: parse("PA_MORSEL_ROWS").unwrap_or(DEFAULT_MORSEL_ROWS),
-            min_parallel_rows: parse("PA_MIN_PARALLEL_ROWS").unwrap_or(DEFAULT_MIN_PARALLEL_ROWS),
-            dense_budget: std::env::var("PA_DENSE_BUDGET")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(crate::keymap::DEFAULT_DENSE_BUDGET),
-            vector: std::env::var("PA_VECTOR").map_or(true, |v| v.trim() != "0"),
+            morsel_rows: positive("PA_MORSEL_ROWS").unwrap_or(DEFAULT_MORSEL_ROWS),
+            min_parallel_rows: positive("PA_MIN_PARALLEL_ROWS")
+                .unwrap_or(DEFAULT_MIN_PARALLEL_ROWS),
+            dense_budget: number("PA_DENSE_BUDGET").unwrap_or(crate::keymap::DEFAULT_DENSE_BUDGET),
+            vector: var("PA_VECTOR").is_none_or(|v| v.trim() != "0"),
         }
     }
 
@@ -149,6 +162,82 @@ impl ParallelConfig {
             start..stop
         })
     }
+}
+
+/// Run `scan` over the rows `0..n_rows` on the workers the guard's
+/// [`ParallelConfig`] allows, returning one result per contiguous chunk in
+/// row order.
+///
+/// Below the serial threshold (or with one thread) `scan` runs once over the
+/// whole range on the caller's thread, with the caller's `stats` and the
+/// operator `span` itself. Otherwise each chunk runs on a scoped worker with
+/// its own [`ExecStats`] (added into `stats` in worker order) and a
+/// `worker` child span keyed by its index, so the merged trace orders
+/// workers deterministically whatever order they finish in.
+///
+/// Panics are contained at the thread boundary: a panicking worker cancels
+/// the shared guard, so its siblings stop at their next morsel, and the
+/// call fails with [`EngineError::WorkerPanicked`] naming `operator` — the
+/// root cause, never the `Cancelled` errors it induced in siblings. The
+/// caller merges the per-chunk results; merging them in the returned order
+/// reproduces the serial first-appearance order.
+pub fn fan_out<T, E>(
+    guard: &ResourceGuard,
+    span: &mut SpanHandle,
+    operator: &str,
+    n_rows: usize,
+    stats: &mut ExecStats,
+    scan: impl Fn(Range<usize>, &mut ExecStats, &mut SpanHandle) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E>
+where
+    T: Send,
+    E: Send + From<EngineError>,
+{
+    let chunks = guard.config().chunks(n_rows);
+    if chunks.len() <= 1 {
+        return Ok(vec![scan(0..n_rows, stats, span)?]);
+    }
+    let scan = &scan;
+    let outcomes: Vec<std::thread::Result<Result<(T, ExecStats), E>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .enumerate()
+            .map(|(w, chunk)| {
+                let mut wspan = span.child("worker", w as u32);
+                s.spawn(move || {
+                    let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        let mut wstats = ExecStats::default();
+                        scan(chunk, &mut wstats, &mut wspan).map(|t| (t, wstats))
+                    }));
+                    if out.is_err() {
+                        guard.cancel();
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().and_then(|out| out))
+            .collect()
+    });
+    // The first panic in worker order is the root cause; the `Cancelled`
+    // errors it induced in siblings are secondary.
+    let results = outcomes
+        .into_iter()
+        .collect::<std::thread::Result<Vec<_>>>()
+        .map_err(|p| EngineError::WorkerPanicked {
+            operator: operator.to_string(),
+            payload: panic_payload(p),
+        })?;
+    results
+        .into_iter()
+        .map(|result| {
+            let (t, wstats) = result?;
+            *stats += wstats;
+            Ok(t)
+        })
+        .collect()
 }
 
 #[cfg(test)]

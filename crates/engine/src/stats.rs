@@ -130,7 +130,7 @@ pub struct ExecStats {
     /// sketch aggregates) — the lanes whose partials carry more than a
     /// few scalars (DESIGN.md §14).
     pub holistic_lanes: u64,
-    /// Exact-percentile group states that outgrew `PA_PERCENTILE_BUDGET`
+    /// Exact-percentile group states that outgrew `DEFAULT_PERCENTILE_BUDGET`
     /// and spilled to a t-digest (the result is approximate for those
     /// groups).
     pub sketch_spills: u64,

@@ -8,8 +8,8 @@
 //!   byte-identical results.
 
 use pa_engine::{
-    hash_aggregate_with_config, insert_into, update_from, AggFunc, AggSpec, ExecStats, Expr,
-    ParallelConfig, ResourceGuard, SetClause,
+    hash_aggregate, insert_into, update_from, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig,
+    ResourceGuard, SetClause,
 };
 use pa_storage::{Catalog, DataType, Schema, Table, Value};
 
@@ -234,8 +234,14 @@ fn dictionary_overflow_mid_append_falls_back_to_hash() {
 
     let shared = catalog.table("sales").unwrap();
     let mut stats = ExecStats::default();
-    let out = hash_aggregate_with_config(&shared.read(), &[1], &specs, &guard, &mut stats, &config)
-        .unwrap();
+    let out = hash_aggregate(
+        &shared.read(),
+        &[1],
+        &specs,
+        &guard.clone().with_config(config),
+        &mut stats,
+    )
+    .unwrap();
     assert_eq!(out.num_rows(), 2);
     assert!(
         stats.dense_group_ops > 0 && stats.hash_group_ops == 0,
@@ -250,13 +256,13 @@ fn dictionary_overflow_mid_append_falls_back_to_hash() {
     }
 
     let mut dense_stats = ExecStats::default();
-    let dense = hash_aggregate_with_config(
+    let dense = hash_aggregate(
         &shared.read(),
         &[1],
         &specs,
-        &guard,
+        // default budget: still dense-eligible
+        &guard.clone().with_config(ParallelConfig::serial()),
         &mut dense_stats,
-        &ParallelConfig::serial(), // default budget: still dense-eligible
     )
     .unwrap();
     assert!(
@@ -265,13 +271,13 @@ fn dictionary_overflow_mid_append_falls_back_to_hash() {
     );
 
     let mut hash_stats = ExecStats::default();
-    let hashed = hash_aggregate_with_config(
+    let hashed = hash_aggregate(
         &shared.read(),
         &[1],
         &specs,
-        &guard,
+        // overflowed budget: must fall back
+        &guard.clone().with_config(config),
         &mut hash_stats,
-        &config, // overflowed budget: must fall back
     )
     .unwrap();
     assert!(

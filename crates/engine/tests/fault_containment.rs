@@ -1,25 +1,19 @@
 //! Panic isolation and deadline determinism at the operator level.
 //!
-//! The chaos panic injector is process-global, so every test that arms it
-//! holds `CHAOS` for its whole arm..disarm window — tests in this binary
-//! may run concurrently, but chaos windows never overlap.
+//! Each test arms its own [`ChaosTrigger`] on the guard it passes in, so
+//! tests in this binary run concurrently without their panics landing in
+//! each other's scans.
 
-use pa_engine::chaos::{self, CHAOS_PANIC_MSG};
+use pa_engine::chaos::{ChaosTrigger, CHAOS_PANIC_MSG};
 use pa_engine::clock::TestClock;
 use pa_engine::{
-    hash_aggregate_with_config, AggFunc, AggSpec, Deadline, EngineError, ExecStats, Expr,
-    ParallelConfig, ResourceGuard,
+    hash_aggregate, AggFunc, AggSpec, Deadline, EngineError, ExecStats, Expr, ParallelConfig,
+    ResourceGuard,
 };
 use pa_storage::{DataType, Schema, Table, Value};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
-
-static CHAOS: Mutex<()> = Mutex::new(());
-
-fn chaos_window() -> std::sync::MutexGuard<'static, ()> {
-    CHAOS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// `n` rows over a few groups with deterministic values.
 fn fixture(n: usize) -> Table {
@@ -52,19 +46,25 @@ fn parallel_config(threads: usize, morsel_rows: usize) -> ParallelConfig {
 }
 
 fn aggregate(t: &Table, guard: &ResourceGuard, cfg: &ParallelConfig) -> Result<Table, EngineError> {
-    hash_aggregate_with_config(t, &[0], &specs(t), guard, &mut ExecStats::default(), cfg)
+    let guard = guard.clone().with_config(*cfg);
+    hash_aggregate(t, &[0], &specs(t), &guard, &mut ExecStats::default())
+}
+
+/// The unlimited guard with `chaos` attached.
+fn chaos_guard(chaos: &ChaosTrigger) -> ResourceGuard {
+    ResourceGuard::unlimited().with_chaos(chaos.clone())
 }
 
 #[test]
 fn worker_panic_is_caught_as_a_typed_error_and_the_operator_stays_usable() {
-    let _w = chaos_window();
+    let chaos = ChaosTrigger::default();
     let t = fixture(4096);
     let cfg = parallel_config(4, 256);
     // 16 morsels split over 4 workers: every scan charge happens on a
     // worker thread, so tick 3 panics inside a worker.
-    chaos::arm(3);
-    let err = aggregate(&t, &ResourceGuard::unlimited(), &cfg).unwrap_err();
-    assert!(!chaos::is_armed(), "the injected panic fired");
+    chaos.arm(3);
+    let err = aggregate(&t, &chaos_guard(&chaos), &cfg).unwrap_err();
+    assert!(!chaos.is_armed(), "the injected panic fired");
     match &err {
         EngineError::WorkerPanicked { operator, payload } => {
             assert_eq!(operator, "multi_hash_aggregate");
@@ -73,16 +73,16 @@ fn worker_panic_is_caught_as_a_typed_error_and_the_operator_stays_usable() {
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
     // The same inputs aggregate fine now: nothing was poisoned.
-    let clean = aggregate(&t, &ResourceGuard::unlimited(), &cfg).unwrap();
+    let clean = aggregate(&t, &chaos_guard(&chaos), &cfg).unwrap();
     assert_eq!(clean.num_rows(), 7);
 }
 
 #[test]
 fn panicking_worker_cancels_its_siblings_guard() {
-    let _w = chaos_window();
+    let chaos = ChaosTrigger::default();
     let t = fixture(4096);
-    let guard = ResourceGuard::with_row_budget(u64::MAX);
-    chaos::arm(2);
+    let guard = ResourceGuard::with_row_budget(u64::MAX).with_chaos(chaos.clone());
+    chaos.arm(2);
     let err = aggregate(&t, &guard, &parallel_config(4, 256)).unwrap_err();
     assert!(matches!(err, EngineError::WorkerPanicked { .. }), "{err:?}");
     assert!(
@@ -102,20 +102,20 @@ proptest! {
         tick in 0u64..16,
         threads in 2usize..5,
     ) {
-        let _w = chaos_window();
+        let chaos = ChaosTrigger::default();
         let t = fixture(4096);
         let cfg = parallel_config(threads, 256);
         // 16 scan morsels regardless of thread count, all charged on
         // worker threads; `tick` stays below 16 so the panic always fires
         // in a worker.
-        chaos::arm(tick);
-        let err = aggregate(&t, &ResourceGuard::unlimited(), &cfg).unwrap_err();
-        chaos::disarm();
+        chaos.arm(tick);
+        let err = aggregate(&t, &chaos_guard(&chaos), &cfg).unwrap_err();
+        chaos.disarm();
         prop_assert!(
             matches!(err, EngineError::WorkerPanicked { .. }),
             "tick {}: {:?}", tick, err
         );
-        let clean = aggregate(&t, &ResourceGuard::unlimited(), &cfg).unwrap();
+        let clean = aggregate(&t, &chaos_guard(&chaos), &cfg).unwrap();
         prop_assert_eq!(clean.num_rows(), 7);
     }
 

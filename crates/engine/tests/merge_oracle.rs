@@ -25,7 +25,7 @@
 //! or truncated bytes yield typed errors, never panics.
 
 use pa_engine::{
-    hash_aggregate_with_config, partial_aggregate, Acc, AggFunc, AggSpec, ExecStats, Expr, PBits,
+    hash_aggregate, partial_aggregate, Acc, AggFunc, AggSpec, ExecStats, Expr, PBits,
     ParallelConfig, ResourceGuard, ShardPartial, TDIGEST_RANK_EPSILON,
 };
 use pa_storage::{DataType, Schema, Table, Value};
@@ -245,13 +245,12 @@ fn shard_merge_matches_parallel_hash_aggregate_at_1_2_4_threads() {
             min_parallel_rows: 0,
             ..ParallelConfig::serial()
         };
-        let engine_out = hash_aggregate_with_config(
+        let engine_out = hash_aggregate(
             &t,
             &group_cols,
             &specs,
-            &ResourceGuard::unlimited(),
+            &ResourceGuard::unlimited().with_config(config),
             &mut ExecStats::default(),
-            &config,
         )
         .unwrap();
         let want = sorted_rows(&engine_out, group_cols.len());

@@ -3,7 +3,7 @@
 
 use pa_engine::{
     distinct, filter, hash_aggregate, hash_join, sort, window_aggregate, AggFunc, AggSpec,
-    ExecStats, Expr, JoinType,
+    ExecStats, Expr, JoinType, ResourceGuard,
 };
 use pa_storage::{DataType, Schema, Table, Value};
 use proptest::prelude::*;
@@ -65,7 +65,7 @@ proptest! {
             AggSpec::new(AggFunc::Min, Expr::col(t.schema(), "a").unwrap(), "mn"),
             AggSpec::new(AggFunc::Max, Expr::col(t.schema(), "a").unwrap(), "mx"),
         ];
-        let out = hash_aggregate(&t, &[0], &specs, &mut ExecStats::default()).unwrap();
+        let out = hash_aggregate(&t, &[0], &specs, &ResourceGuard::unlimited(), &mut ExecStats::default()).unwrap();
 
         // Reference.
         #[derive(Default)]
@@ -111,7 +111,7 @@ proptest! {
         let lt = table_of(&left);
         let rt = table_of(&right);
         for (jt, outer) in [(JoinType::Inner, false), (JoinType::LeftOuter, true)] {
-            let out = hash_join(&lt, &rt, &[0], &[0], jt, None, &mut ExecStats::default()).unwrap();
+            let out = hash_join(&lt, &rt, &[0], &[0], jt, None, &ResourceGuard::unlimited(), &mut ExecStats::default()).unwrap();
             // Reference: nested loop with grouping (NULL = NULL) semantics.
             let mut expected = 0usize;
             for l in &left {
@@ -195,7 +195,7 @@ proptest! {
             Expr::col(t.schema(), "d").unwrap(),
             "dd",
         );
-        let out = hash_aggregate(&t, &[0], &[spec], &mut ExecStats::default()).unwrap();
+        let out = hash_aggregate(&t, &[0], &[spec], &ResourceGuard::unlimited(), &mut ExecStats::default()).unwrap();
         let mut model: BTreeMap<String, std::collections::BTreeSet<i64>> = BTreeMap::new();
         for r in &rows {
             let e = model.entry(key_of(&Value::from(r.g))).or_default();

@@ -8,8 +8,8 @@
 //! within-epsilon (DESIGN.md §7 states the float caveat precisely).
 
 use pa_engine::{
-    hash_aggregate_with_config, multi_hash_aggregate_with_config, AggFunc, AggSpec, EngineError,
-    ExecStats, Expr, ParallelConfig, ResourceGuard,
+    hash_aggregate, multi_hash_aggregate, AggFunc, AggSpec, EngineError, ExecStats, Expr,
+    ParallelConfig, ResourceGuard,
 };
 use pa_storage::{DataType, Schema, Table, Value};
 use proptest::prelude::*;
@@ -93,24 +93,10 @@ proptest! {
     fn parallel_hash_aggregate_identical_to_serial(rows in rows_strategy(300)) {
         let t = table_of(&rows);
         let specs = all_func_specs(&t);
-        let serial = hash_aggregate_with_config(
-            &t,
-            &[0, 1],
-            &specs,
-            &ResourceGuard::unlimited(),
-            &mut ExecStats::default(),
-            &config(1),
-        )
+        let serial = hash_aggregate(&t, &[0, 1], &specs, &ResourceGuard::unlimited().with_config(config(1)), &mut ExecStats::default())
         .unwrap();
         for threads in [2usize, 4, 7] {
-            let parallel = hash_aggregate_with_config(
-                &t,
-                &[0, 1],
-                &specs,
-                &ResourceGuard::unlimited(),
-                &mut ExecStats::default(),
-                &config(threads),
-            )
+            let parallel = hash_aggregate(&t, &[0, 1], &specs, &ResourceGuard::unlimited().with_config(config(threads)), &mut ExecStats::default())
             .unwrap();
             prop_assert_eq!(
                 snapshot(&serial),
@@ -130,22 +116,10 @@ proptest! {
             (vec![1], specs.clone()),
             (vec![], specs),
         ];
-        let serial = multi_hash_aggregate_with_config(
-            &t,
-            &levels,
-            &ResourceGuard::unlimited(),
-            &mut ExecStats::default(),
-            &config(1),
-        )
+        let serial = multi_hash_aggregate(&t, &levels, &ResourceGuard::unlimited().with_config(config(1)), &mut ExecStats::default())
         .unwrap();
         for threads in [2usize, 4, 7] {
-            let parallel = multi_hash_aggregate_with_config(
-                &t,
-                &levels,
-                &ResourceGuard::unlimited(),
-                &mut ExecStats::default(),
-                &config(threads),
-            )
+            let parallel = multi_hash_aggregate(&t, &levels, &ResourceGuard::unlimited().with_config(config(threads)), &mut ExecStats::default())
             .unwrap();
             for (lvl, (s, p)) in serial.iter().zip(&parallel).enumerate() {
                 prop_assert_eq!(
@@ -193,7 +167,13 @@ fn cancelling_mid_scan_stops_all_parallel_workers() {
             }
             poller_guard.cancel();
         });
-        hash_aggregate_with_config(&t, &[0], &specs, &guard, &mut ExecStats::default(), &config)
+        hash_aggregate(
+            &t,
+            &[0],
+            &specs,
+            &guard.clone().with_config(config),
+            &mut ExecStats::default(),
+        )
     });
 
     let err = result.expect_err("cancelled scan must not produce a result");

@@ -466,61 +466,32 @@ impl<'a> QueryService<'a> {
     }
 
     /// Execute SQL under a session's limits, walking the degradation
-    /// ladder on budget trips and contained panics.
+    /// ladder on budget trips and contained panics. The rungs carry
+    /// explicit default knobs; the first attempt picks them heuristically.
     pub fn execute_sql_session(
         &self,
         sql: &str,
         session: &SessionOptions,
     ) -> Result<ServiceResponse> {
-        let _admission = self.admit()?;
-        let res = self.execute_sql_degraded(sql, session);
-        self.record(res)
-    }
-
-    /// The degradation-ladder body of [`QueryService::execute_sql_session`],
-    /// run while holding an admission slot.
-    fn execute_sql_degraded(&self, sql: &str, session: &SessionOptions) -> Result<ServiceResponse> {
         let limits = self.resolve_limits(session);
-        let first = match self.engine.execute_sql_limited(sql, limits) {
-            Ok(out) => return Ok(respond(out.table().read().clone(), out.stats())),
-            Err(e) if self.degradable(&e) => e,
-            Err(e) => return Err(e.into()),
-        };
-        let cause = first.abort_cause();
-        // Rung 1: force the morsel layer serial (affects the horizontal
-        // family; vertical re-runs unchanged, which absorbs one-shot
-        // faults).
-        let serial = HorizontalOptions {
-            parallel: ParallelMode::Serial,
-            ..HorizontalOptions::default()
-        };
-        match self
-            .engine
-            .execute_sql_with_limited(sql, &VpctStrategy::best(), &serial, limits)
-        {
-            Ok(mut out) => {
-                mark(out.stats_mut(), Degradation::Serial, cause);
-                return Ok(respond(out.table().read().clone(), out.stats()));
-            }
-            Err(e) if self.degradable(&e) => {}
-            Err(e) => return Err(e.into()),
-        }
-        // Rung 2: also swap CASE evaluation for the SPJ strategy.
-        let spj = HorizontalOptions {
-            strategy: HorizontalStrategy::SpjDirect,
-            parallel: ParallelMode::Serial,
-            ..HorizontalOptions::default()
-        };
-        match self
-            .engine
-            .execute_sql_with_limited(sql, &VpctStrategy::best(), &spj, limits)
-        {
-            Ok(mut out) => {
-                mark(out.stats_mut(), Degradation::SerialThenSpj, cause);
-                Ok(respond(out.table().read().clone(), out.stats()))
-            }
-            Err(e) => Err(e.into()),
-        }
+        let rungs = [Degradation::Serial, Degradation::SerialThenSpj];
+        self.ladder(
+            &HorizontalOptions::default(),
+            &rungs,
+            |e| self.degradable(e),
+            |opts| {
+                let out = match opts {
+                    None => self.engine.execute_sql_limited(sql, limits)?,
+                    Some(opts) => self.engine.execute_sql_with_limited(
+                        sql,
+                        &VpctStrategy::best(),
+                        opts,
+                        limits,
+                    )?,
+                };
+                Ok((out.table().read().clone(), out.stats()))
+            },
+        )
     }
 
     /// Evaluate a typed vertical query under the default session.
@@ -530,30 +501,22 @@ impl<'a> QueryService<'a> {
 
     /// Evaluate a typed vertical query under a session's limits. The
     /// vertical path has no cheaper strategy rung, so only a contained
-    /// panic earns one plain retry.
+    /// panic earns one retry, on the serial path.
     pub fn vpct_session(&self, q: &VpctQuery, session: &SessionOptions) -> Result<ServiceResponse> {
-        let _admission = self.admit()?;
-        let res = self.vpct_degraded(q, session);
-        self.record(res)
-    }
-
-    /// The retry body of [`QueryService::vpct_session`], run while holding
-    /// an admission slot.
-    fn vpct_degraded(&self, q: &VpctQuery, session: &SessionOptions) -> Result<ServiceResponse> {
         let limits = self.resolve_limits(session);
-        match self.engine.vpct_limited(q, limits) {
-            Ok(r) => Ok(respond(r.snapshot(), r.stats)),
-            Err(e)
-                if self.config.degradation
-                    && matches!(e.abort_cause(), Some(AbortCause::WorkerPanic)) =>
-            {
-                let cause = e.abort_cause();
-                let mut r = self.engine.vpct_limited(q, limits)?;
-                mark(&mut r.stats, Degradation::Serial, cause);
-                Ok(respond(r.snapshot(), r.stats))
-            }
-            Err(e) => Err(e.into()),
-        }
+        let panicked = |e: &CoreError| {
+            self.config.degradation && matches!(e.abort_cause(), Some(AbortCause::WorkerPanic))
+        };
+        self.ladder(
+            &HorizontalOptions::default(),
+            &[Degradation::Serial],
+            panicked,
+            |opts| {
+                let parallel = opts.map_or(ParallelMode::Auto, |o| o.parallel);
+                let r = self.engine.vpct_limited(q, parallel, limits)?;
+                Ok((r.snapshot(), r.stats))
+            },
+        )
     }
 
     /// Answer every BY-prefix of `dims` over `table` from one admitted
@@ -561,7 +524,7 @@ impl<'a> QueryService<'a> {
     /// full `dims`, i.e. percentages of each finest group against the
     /// totals at prefix `dims[..j]` (`j = 0` is the grand total). The whole
     /// batch occupies a single admission slot and runs through
-    /// [`pa_core::eval_vpct_batch_guarded`], which fuses the shared
+    /// [`pa_core::eval_vpct_batch`], which fuses the shared
     /// summary scan and serves coarser totals from the lattice cache, so
     /// asking for all `k` prefixes costs roughly one scan rather than `k`.
     pub fn percentage_batch(
@@ -617,9 +580,19 @@ impl<'a> QueryService<'a> {
         opts: &HorizontalOptions,
         session: &SessionOptions,
     ) -> Result<ServiceResponse> {
-        let _admission = self.admit()?;
-        let res = self.horizontal_degraded(q, opts, session);
-        self.record(res)
+        let limits = self.resolve_limits(session);
+        let rungs = [Degradation::Serial, Degradation::SerialThenSpj];
+        self.ladder(
+            opts,
+            &rungs,
+            |e| self.degradable(e),
+            |rung| {
+                let r = self
+                    .engine
+                    .horizontal_limited(q, rung.unwrap_or(opts), limits)?;
+                Ok((r.snapshot(), r.stats))
+            },
+        )
     }
 
     /// Scatter-gather aggregation over `shards` disjoint row partitions of
@@ -716,45 +689,44 @@ impl<'a> QueryService<'a> {
         Ok(respond(out, stats))
     }
 
-    /// The degradation-ladder body of [`QueryService::horizontal_session`],
-    /// run while holding an admission slot.
-    fn horizontal_degraded(
+    /// The degradation ladder every query entry point walks, under one
+    /// admission slot. `run(None)` is the first attempt; each rung re-runs
+    /// with `Some(options)`: `base` with the morsel layer forced serial,
+    /// then also with its CASE strategy swapped for the SPJ counterpart.
+    /// Only failures `retry` accepts climb to the next rung. An answer from
+    /// a rung records the rung and the first failure's cause.
+    fn ladder(
         &self,
-        q: &HorizontalQuery,
-        opts: &HorizontalOptions,
-        session: &SessionOptions,
+        base: &HorizontalOptions,
+        rungs: &[Degradation],
+        retry: impl Fn(&CoreError) -> bool,
+        run: impl Fn(Option<&HorizontalOptions>) -> std::result::Result<(Table, ExecStats), CoreError>,
     ) -> Result<ServiceResponse> {
-        let limits = self.resolve_limits(session);
-        let first = match self.engine.horizontal_limited(q, opts, limits) {
-            Ok(r) => return Ok(respond(r.snapshot(), r.stats)),
-            Err(e) if self.degradable(&e) => e,
-            Err(e) => return Err(e.into()),
-        };
-        let cause = first.abort_cause();
-        let serial = HorizontalOptions {
-            parallel: ParallelMode::Serial,
-            ..opts.clone()
-        };
-        match self.engine.horizontal_limited(q, &serial, limits) {
-            Ok(mut r) => {
-                mark(&mut r.stats, Degradation::Serial, cause);
-                return Ok(respond(r.snapshot(), r.stats));
+        let _admission = self.admit()?;
+        let mut res = run(None);
+        let cause = res.as_ref().err().and_then(CoreError::abort_cause);
+        for &rung in rungs {
+            if !res.as_ref().is_err_and(&retry) {
+                break;
             }
-            Err(e) if self.degradable(&e) => {}
-            Err(e) => return Err(e.into()),
+            let opts = HorizontalOptions {
+                strategy: match rung {
+                    Degradation::Serial => base.strategy,
+                    _ => spj_counterpart(base.strategy),
+                },
+                parallel: ParallelMode::Serial,
+                ..base.clone()
+            };
+            res = run(Some(&opts)).map(|(table, mut stats)| {
+                stats.degraded_to = Some(rung);
+                stats.abort_cause = cause;
+                (table, stats)
+            });
         }
-        let spj = HorizontalOptions {
-            strategy: spj_counterpart(opts.strategy),
-            parallel: ParallelMode::Serial,
-            ..opts.clone()
-        };
-        match self.engine.horizontal_limited(q, &spj, limits) {
-            Ok(mut r) => {
-                mark(&mut r.stats, Degradation::SerialThenSpj, cause);
-                Ok(respond(r.snapshot(), r.stats))
-            }
-            Err(e) => Err(e.into()),
-        }
+        self.record(
+            res.map(|(table, stats)| respond(table, stats))
+                .map_err(Into::into),
+        )
     }
 }
 
@@ -765,11 +737,6 @@ fn spj_counterpart(s: HorizontalStrategy) -> HorizontalStrategy {
         HorizontalStrategy::CaseFromFv => HorizontalStrategy::SpjFromFv,
         spj => spj,
     }
-}
-
-fn mark(stats: &mut ExecStats, degraded: Degradation, cause: Option<AbortCause>) {
-    stats.degraded_to = Some(degraded);
-    stats.abort_cause = cause;
 }
 
 fn respond(table: Table, stats: ExecStats) -> ServiceResponse {

@@ -2,20 +2,25 @@
 //! limits, typed failures, and the degradation ladder — all deterministic
 //! (injected clocks and one-shot chaos panics, no timing assumptions).
 
-use pa_core::{CoreError, PercentageEngine, TestClock};
-use pa_engine::{chaos, Clock, Degradation};
+use pa_core::{CoreError, PercentageEngine, ResourceGuard, TestClock};
+use pa_engine::{ChaosTrigger, Clock, Degradation};
 use pa_service::{QueryService, ServiceConfig, ServiceError, SessionOptions};
 use pa_storage::{Catalog, Value};
 use pa_workload::{install_sales, SalesConfig};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// The chaos panic injector is process-global: tests that arm it hold this
-/// lock for their whole arm..observe window.
-static CHAOS: Mutex<()> = Mutex::new(());
-
-fn chaos_window() -> std::sync::MutexGuard<'static, ()> {
-    CHAOS.lock().unwrap_or_else(|e| e.into_inner())
+/// A service like [`QueryService::new`] whose queries tick `trigger`, so
+/// an armed panic fires only in this service's queries.
+fn chaos_service<'a>(
+    catalog: &'a Catalog,
+    config: ServiceConfig,
+    trigger: &ChaosTrigger,
+) -> QueryService<'a> {
+    let engine = PercentageEngine::with_unique_temps(catalog)
+        .with_temp_cleanup()
+        .with_guard(ResourceGuard::unlimited().with_chaos(trigger.clone()));
+    QueryService::from_engine(engine, config)
 }
 
 const VPCT: &str = "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city;";
@@ -241,16 +246,16 @@ fn session_deadline_is_final_not_degradable() {
 
 #[test]
 fn contained_panic_walks_the_ladder_and_records_it() {
-    let _w = chaos_window();
+    let chaos = ChaosTrigger::default();
     let catalog = sales_catalog(1024);
-    let service = QueryService::new(&catalog, ServiceConfig::default());
+    let service = chaos_service(&catalog, ServiceConfig::default(), &chaos);
     let want = reference_rows(1024, VPCT);
 
     // The one-shot panic fails the first attempt; the serial retry runs
     // clean. The response records both what happened and what it cost.
-    chaos::arm(0);
+    chaos.arm(0);
     let resp = service.execute_sql(VPCT).unwrap();
-    assert!(!chaos::is_armed(), "the injected panic fired");
+    assert!(!chaos.is_armed(), "the injected panic fired");
     assert_eq!(resp.stats.degraded_to, Some(Degradation::Serial));
     assert_eq!(
         resp.stats.abort_cause,
@@ -266,19 +271,20 @@ fn contained_panic_walks_the_ladder_and_records_it() {
 
 #[test]
 fn degradation_can_be_disabled() {
-    let _w = chaos_window();
+    let chaos = ChaosTrigger::default();
     let catalog = sales_catalog(512);
-    let service = QueryService::new(
+    let service = chaos_service(
         &catalog,
         ServiceConfig {
             degradation: false,
             ..ServiceConfig::default()
         },
+        &chaos,
     );
 
-    chaos::arm(0);
+    chaos.arm(0);
     let err = service.execute_sql(VPCT).unwrap_err();
-    assert!(!chaos::is_armed());
+    assert!(!chaos.is_armed());
     match err {
         ServiceError::Query(CoreError::WorkerPanicked { .. }) => {}
         other => panic!("expected the first failure verbatim, got {other:?}"),
@@ -444,11 +450,11 @@ fn metrics_registry_mirrors_admissions_sheds_and_work() {
 
 #[test]
 fn degradation_rungs_are_counted_in_metrics() {
-    let _w = chaos_window();
+    let chaos = ChaosTrigger::default();
     let catalog = sales_catalog(512);
-    let service = QueryService::new(&catalog, ServiceConfig::default());
+    let service = chaos_service(&catalog, ServiceConfig::default(), &chaos);
 
-    chaos::arm(0);
+    chaos.arm(0);
     let resp = service.execute_sql(VPCT).unwrap();
     assert_eq!(resp.stats.degraded_to, Some(Degradation::Serial));
     let text = service.render_metrics();

@@ -112,6 +112,9 @@ fn mutate(rng: &mut SplitMix64, input: &str) -> String {
 /// the seed, round and mutant that produced it.
 #[test]
 fn mutated_corpus_yields_typed_errors_never_panics() {
+    // PA_FUZZ_SEED replays a reported seed: a test harness input, not
+    // engine configuration.
+    #[allow(clippy::disallowed_methods)]
     let seed = std::env::var("PA_FUZZ_SEED")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -12,6 +12,8 @@ use percentage_aggregations::prelude::*;
 use std::time::Instant;
 
 fn main() -> Result<(), CoreError> {
+    // PAPER selects the example's data scale, not engine configuration.
+    #[allow(clippy::disallowed_methods)]
     let scale = if std::env::var("PAPER").is_ok() {
         Scale::PAPER
     } else {

@@ -34,6 +34,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+// PA_PROPTEST_SEED replays a reported failure: a test harness input, not
+// engine configuration.
+#[allow(clippy::disallowed_methods)]
 fn base_seed(test_name: &str) -> (u64, bool) {
     match std::env::var("PA_PROPTEST_SEED") {
         Ok(s) => {

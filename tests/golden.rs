@@ -128,6 +128,9 @@ fn unified_diff(expected: &str, actual: &str) -> String {
 
 /// Compare `actual` against the recorded `tests/golden/<name>`; with
 /// `UPDATE_GOLDEN=1` rewrite the file instead and pass.
+// Reads the UPDATE_GOLDEN regeneration switch: a test harness flag, not
+// engine configuration.
+#[allow(clippy::disallowed_methods)]
 fn assert_golden(name: &str, actual: &str) {
     let path = golden_dir().join(name);
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {

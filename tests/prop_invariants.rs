@@ -233,10 +233,10 @@ proptest! {
         let mut st = ExecStats::default();
         let spec = AggSpec::new(AggFunc::Sum, Expr::col(f.schema(), "a").unwrap(), "s");
         // Fine level (g, d), then re-aggregate to (g).
-        let fk = hash_aggregate(&f, &[0, 1], std::slice::from_ref(&spec), &mut st).unwrap();
+        let fk = hash_aggregate(&f, &[0, 1], std::slice::from_ref(&spec), &ResourceGuard::unlimited(), &mut st).unwrap();
         let respec = AggSpec::new(AggFunc::Sum, Expr::Col(2), "s");
-        let from_fk = hash_aggregate(&fk, &[0], &[respec], &mut st).unwrap();
-        let from_f = hash_aggregate(&f, &[0], &[spec], &mut st).unwrap();
+        let from_fk = hash_aggregate(&fk, &[0], &[respec], &ResourceGuard::unlimited(), &mut st).unwrap();
+        let from_f = hash_aggregate(&f, &[0], &[spec], &ResourceGuard::unlimited(), &mut st).unwrap();
         prop_assert!(tables_equal(&from_fk, &from_f), "\n{from_fk}\n{from_f}");
     }
 
