@@ -93,6 +93,16 @@ cargo test -q -p pa-engine --test differential
 cargo test -q --test golden
 cargo test -q -p pa-sql --test fuzz_corpus
 
+echo "==> perfbench answer check: every workload shape against a naive evaluator"
+# perfbench checks each query shape's answer against its own evaluator,
+# which shares no code with the engine, before its timed loop, and exits
+# non-zero on a wrong answer or a failed operation. One second per
+# workload keeps this an answer check rather than a benchmark run.
+for workload in paper_sql scan_kernels cube_append; do
+  cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seconds 1 --trace 0
+done
+
 echo "==> service overhead smoke (writes results/BENCH_service_smoke.json)"
 cargo run --release -p pa-bench --bin service_overhead -- \
   --n 5000 --queries 8 --iters 1 \

@@ -922,12 +922,14 @@ impl<'a> PercentageEngine<'a> {
         }
         let stats = outcome.stats();
         lines.push(format!(
-            "-- aggregates: holistic_lanes={} sketch_spills={} lattice_levels={} levels_from_scan={} levels_from_cache={}",
+            "-- aggregates: holistic_lanes={} sketch_spills={} lattice_levels={} levels_from_scan={} levels_from_cache={} dense_group_ops={} hash_group_ops={}",
             stats.holistic_lanes,
             stats.sketch_spills,
             stats.lattice_levels,
             stats.levels_from_scan,
-            stats.levels_from_cache
+            stats.levels_from_cache,
+            stats.dense_group_ops,
+            stats.hash_group_ops
         ));
         lines.push(self.guard_comment(Some(stats.rows_charged)));
         Ok(lines)
@@ -1028,10 +1030,14 @@ fn render_span_lines(
     depth: usize,
     out: &mut Vec<String>,
 ) {
+    // The execution detail (kernel path, lattice code path) when the
+    // operator recorded one: `-- op aggregate [vectorized]: ...`.
+    let detail = span.detail.map(|d| format!(" [{d}]")).unwrap_or_default();
     out.push(format!(
-        "-- op {:indent$}{}: rows={} morsels={} time={}ns",
+        "-- op {:indent$}{}{}: rows={} morsels={} time={}ns",
         "",
         span.name(),
+        detail,
         span.rows,
         span.morsels,
         span.duration_ns(),
@@ -1637,6 +1643,25 @@ mod tests {
             agg_line.starts_with("-- aggregates: holistic_lanes=")
                 && agg_line.contains("sketch_spills="),
             "{agg_line}"
+        );
+        // The group path is visible: the small sales table groups densely,
+        // so every grouping operator counts as a dense group op.
+        let field = |name: &str| -> u64 {
+            agg_line
+                .split(&format!("{name}="))
+                .nth(1)
+                .and_then(|rest| rest.split_whitespace().next())
+                .expect("field present")
+                .parse()
+                .unwrap()
+        };
+        assert!(field("dense_group_ops") > 0, "{agg_line}");
+        assert_eq!(field("hash_group_ops"), 0, "{agg_line}");
+        // A span's execution detail prints beside its name: the pivot
+        // over the dense group map runs the vectorized kernels.
+        assert!(
+            ops.iter().any(|l| l.contains("pivot [vectorized]:")),
+            "{ops:?}"
         );
         let charged: u64 = guard_line
             .split("charged=")

@@ -1,6 +1,6 @@
 //! Group-id assignment shared by aggregation, join, and DISTINCT.
 //!
-//! Two code paths map a tuple of key values to a dense group id:
+//! Three maps assign a dense group id to a tuple of key values:
 //!
 //! * [`RowKeyMap`] — the general hash path. Input rows are hashed straight
 //!   from their columns (no per-row key allocation); a key tuple is
@@ -11,16 +11,21 @@
 //!   narrow observed range for integers), keys compress to a mixed-radix
 //!   *composite code* and group lookup becomes one array index — no
 //!   hashing, no `Value` construction, no key comparison.
+//! * [`WideKeySpace`] / [`WideGroupMap`] — the over-budget code path. The
+//!   same per-dimension slots shift-pack into one `u64`, and group lookup
+//!   hashes that integer. Keys stay codes from scan to output.
 //!
-//! [`GroupMap`] unifies the two behind one interface so operators pick per
-//! input: dense when the cardinality product fits the configured budget,
-//! hash otherwise. Both paths assign group ids in first-appearance scan
-//! order, which is what keeps parallel merges byte-identical to the serial
-//! plan (DESIGN.md §7, §10).
+//! [`GroupMap`] unifies the three behind one interface so operators pick
+//! per input: dense when the cardinality product fits the configured
+//! budget, wide when it does not but the slots pack into 64 bits, hash
+//! otherwise. Every path assigns group ids in first-appearance scan order,
+//! the two code paths merge worker maps by code, and both decode their key
+//! columns straight from codes — which is what keeps parallel merges and
+//! output byte-identical to the serial hash plan (DESIGN.md §7, §10).
 
 use crate::stats::ExecStats;
 use pa_storage::hash::FxHashMap;
-use pa_storage::{Column, FxHasher, Table, Value};
+use pa_storage::{Bitmap, Column, Dictionary, FxHasher, PackedCell, Table, Value};
 use std::hash::Hasher;
 
 /// Default ceiling on the composite-code space (product of per-dimension
@@ -189,6 +194,58 @@ pub(crate) enum DimCoder {
         /// Smallest non-NULL value observed at build time.
         min: i64,
     },
+}
+
+impl DimCoder {
+    /// Build one output key column from per-group slots (0 = NULL) of the
+    /// `input` column this dimension codes. Integers decode to
+    /// `min + slot - 1`; strings remap input dictionary codes through a
+    /// first-sight table, so the output dictionary interns in group order —
+    /// exactly the column `Column::push(Value)` would build, without a
+    /// `Value` or a string hash per group.
+    fn key_column(self, input: &Column, slots: impl ExactSizeIterator<Item = u64>) -> Column {
+        let mut validity = Bitmap::with_capacity(slots.len());
+        match (self, input) {
+            (DimCoder::Int { min }, Column::Int { .. }) => {
+                let mut data = Vec::with_capacity(slots.len());
+                for slot in slots {
+                    validity.push(slot != 0);
+                    data.push(if slot == 0 {
+                        0
+                    } else {
+                        min.wrapping_add((slot - 1) as i64)
+                    });
+                }
+                Column::Int { data, validity }
+            }
+            (DimCoder::Str, Column::Str { dict: input, .. }) => {
+                let mut dict = Dictionary::new();
+                // Output code + 1 per input code; 0 = not seen yet.
+                let mut remap = vec![0u32; input.len()];
+                let mut codes = Vec::with_capacity(slots.len());
+                for slot in slots {
+                    validity.push(slot != 0);
+                    codes.push(if slot == 0 {
+                        0
+                    } else {
+                        let code = (slot - 1) as u32;
+                        let out = &mut remap[code as usize];
+                        if *out == 0 {
+                            *out = dict.intern_arc(input.resolve(code)) + 1;
+                        }
+                        *out - 1
+                    });
+                }
+                Column::Str {
+                    dict,
+                    codes,
+                    validity,
+                    packed: PackedCell::new(),
+                }
+            }
+            _ => unreachable!("column type changed under a built key space"),
+        }
+    }
 }
 
 /// Mixed-radix composite-code space over a tuple of key columns.
@@ -383,9 +440,15 @@ impl DenseKeySpace {
         Some(code)
     }
 
+    /// Slot (0 = NULL) of dimension `d` in a composite code.
+    #[inline]
+    fn slot(&self, code: usize, d: usize) -> usize {
+        (code / self.strides[d]) % self.radices[d]
+    }
+
     /// Decode dimension `d` of a composite code back into its key value.
     pub fn key_value(&self, table: &Table, code: usize, d: usize) -> Value {
-        let slot = (code / self.strides[d]) % self.radices[d];
+        let slot = self.slot(code, d);
         if slot == 0 {
             return Value::Null;
         }
@@ -580,14 +643,18 @@ impl WideKeySpace {
         code
     }
 
+    /// Slot (0 = NULL) of dimension `d` in a shift-packed code.
+    #[inline]
+    fn slot(&self, code: u64, d: usize) -> u64 {
+        match self.widths[d] {
+            0 => 0,
+            width => (code >> self.shifts[d]) & (u64::MAX >> (64 - width)),
+        }
+    }
+
     /// Decode dimension `d` of a shift-packed code back into its key value.
     pub fn key_value(&self, table: &Table, code: u64, d: usize) -> Value {
-        let width = self.widths[d];
-        let slot = if width == 0 {
-            0
-        } else {
-            (code >> self.shifts[d]) & (u64::MAX >> (64 - width))
-        };
+        let slot = self.slot(code, d);
         if slot == 0 {
             return Value::Null;
         }
@@ -659,15 +726,85 @@ impl WideProjector {
     }
 }
 
-/// Group-id assignment behind either code path. Operators pick the variant
-/// per input via [`GroupMap::choose`]; everything downstream (scan, merge,
-/// materialization) is path-agnostic and byte-identical across paths.
+/// Hashed group-id map over a [`WideKeySpace`]: `code → gid` is one
+/// integer hash probe — the over-budget counterpart of [`DenseGroupMap`].
+/// Codes compare exactly, so there are no collisions to resolve, and group
+/// ids are assigned in first-appearance order like every other map.
+#[derive(Debug)]
+pub struct WideGroupMap {
+    space: WideKeySpace,
+    code_to_gid: FxHashMap<u64, u32>,
+    /// Shift-packed code per group id, in first-appearance order.
+    gid_to_code: Vec<u64>,
+}
+
+impl WideGroupMap {
+    /// Empty map over `space`.
+    pub fn new(space: WideKeySpace) -> WideGroupMap {
+        WideGroupMap {
+            space,
+            code_to_gid: FxHashMap::default(),
+            gid_to_code: Vec::new(),
+        }
+    }
+
+    /// Number of distinct groups seen.
+    pub fn len(&self) -> usize {
+        self.gid_to_code.len()
+    }
+
+    /// True when no groups have been inserted.
+    pub fn is_empty(&self) -> bool {
+        self.gid_to_code.is_empty()
+    }
+
+    /// The code space this map addresses.
+    pub fn space(&self) -> &WideKeySpace {
+        &self.space
+    }
+
+    /// Shift-packed code per group id, in first-appearance order.
+    pub fn codes(&self) -> &[u64] {
+        &self.gid_to_code
+    }
+
+    /// Group id for a shift-packed code, inserting a new group when unseen.
+    /// Counts one hash probe, plus one build row per new group.
+    #[inline]
+    pub fn get_or_insert_code(&mut self, code: u64, stats: &mut ExecStats) -> usize {
+        stats.hash_probes += 1;
+        match self.code_to_gid.entry(code) {
+            std::collections::hash_map::Entry::Occupied(e) => *e.get() as usize,
+            std::collections::hash_map::Entry::Vacant(e) => {
+                let gid = self.gid_to_code.len() as u32;
+                e.insert(gid);
+                self.gid_to_code.push(code);
+                stats.hash_build_rows += 1;
+                gid as usize
+            }
+        }
+    }
+
+    /// Group id for the key formed by the space's columns of `table[row]`,
+    /// inserting a new group when unseen.
+    #[inline]
+    pub fn get_or_insert_row(&mut self, table: &Table, row: usize, stats: &mut ExecStats) -> usize {
+        let code = self.space.code_of_row(table, row);
+        self.get_or_insert_code(code, stats)
+    }
+}
+
+/// Group-id assignment behind any of the three paths. Operators pick the
+/// variant per input; everything downstream (scan, merge, materialization)
+/// is path-agnostic and byte-identical across paths.
 #[derive(Debug)]
 pub enum GroupMap {
     /// General hash path ([`RowKeyMap`]).
     Hash(RowKeyMap),
     /// Direct-addressed code path ([`DenseGroupMap`]).
     Dense(DenseGroupMap),
+    /// Hashed shift-packed code path ([`WideGroupMap`]).
+    Wide(WideGroupMap),
 }
 
 impl GroupMap {
@@ -684,11 +821,12 @@ impl GroupMap {
         GroupMap::for_space(DenseKeySpace::try_build(table, cols, budget))
     }
 
-    /// `"dense"` or `"hash"` — for stats and bench artifacts.
+    /// `"dense"`, `"wide"` or `"hash"` — for stats and bench artifacts.
     pub fn path(&self) -> &'static str {
         match self {
             GroupMap::Hash(_) => "hash",
             GroupMap::Dense(_) => "dense",
+            GroupMap::Wide(_) => "wide",
         }
     }
 
@@ -697,6 +835,7 @@ impl GroupMap {
         match self {
             GroupMap::Hash(m) => m.len(),
             GroupMap::Dense(m) => m.len(),
+            GroupMap::Wide(m) => m.len(),
         }
     }
 
@@ -707,7 +846,7 @@ impl GroupMap {
 
     /// Group id for the key formed by `cols` of `table[row]`, inserting a
     /// new group when unseen. `cols` must be the columns the map was chosen
-    /// for (the dense path encodes its own column list).
+    /// for (the code paths encode their own column list).
     #[inline]
     pub fn get_or_insert_row(
         &mut self,
@@ -719,6 +858,7 @@ impl GroupMap {
         match self {
             GroupMap::Hash(m) => m.get_or_insert_row(table, cols, row, stats),
             GroupMap::Dense(m) => m.get_or_insert_row(table, row),
+            GroupMap::Wide(m) => m.get_or_insert_row(table, row, stats),
         }
     }
 
@@ -728,7 +868,9 @@ impl GroupMap {
     pub fn get_or_insert_key(&mut self, key: &[Value], stats: &mut ExecStats) -> usize {
         match self {
             GroupMap::Hash(m) => m.get_or_insert_key(key, stats),
-            GroupMap::Dense(_) => unreachable!("explicit keys require the hash group path"),
+            GroupMap::Dense(_) | GroupMap::Wide(_) => {
+                unreachable!("explicit keys require the hash group path")
+            }
         }
     }
 
@@ -736,6 +878,7 @@ impl GroupMap {
     /// id for each of `other`'s group ids (in `other`'s id order). Unseen
     /// groups are appended in `other`'s first-appearance order — the
     /// deterministic worker-order merge both aggregation operators rely on.
+    /// The code paths fold by code, never decoding a key.
     pub fn merge_ids(&mut self, other: GroupMap, stats: &mut ExecStats) -> Vec<u32> {
         match (self, other) {
             (GroupMap::Hash(dst), GroupMap::Hash(src)) => src
@@ -748,22 +891,27 @@ impl GroupMap {
                 .iter()
                 .map(|&code| dst.get_or_insert_code(code as usize) as u32)
                 .collect(),
+            (GroupMap::Wide(dst), GroupMap::Wide(src)) => src
+                .gid_to_code
+                .iter()
+                .map(|&code| dst.get_or_insert_code(code, stats) as u32)
+                .collect(),
             _ => unreachable!("worker partials always share one group path"),
         }
     }
 
     /// Materialize the key columns, one [`Column`] per key dimension with
-    /// one entry per group id — the output layout, built directly from the
-    /// stored keys without cloning a `Vec<Value>` per row. `table`/`cols`
-    /// must be the input the map was built over.
+    /// one entry per group id — the output layout. The code paths decode
+    /// typed columns straight from their codes; the hash path copies its
+    /// stored keys. `table`/`cols` must be the input the map was built over.
     pub fn build_key_columns(
         &self,
         table: &Table,
         cols: &[usize],
     ) -> crate::error::Result<Vec<Column>> {
-        let mut out = Vec::with_capacity(cols.len());
-        match self {
+        Ok(match self {
             GroupMap::Hash(m) => {
+                let mut out = Vec::with_capacity(cols.len());
                 for (d, &c) in cols.iter().enumerate() {
                     let mut col = Column::new(table.column(c).data_type());
                     for key in m.keys() {
@@ -771,18 +919,22 @@ impl GroupMap {
                     }
                     out.push(col);
                 }
+                out
             }
-            GroupMap::Dense(m) => {
-                for (d, &c) in cols.iter().enumerate() {
-                    let mut col = Column::new(table.column(c).data_type());
-                    for &code in &m.gid_to_code {
-                        col.push(m.space.key_value(table, code as usize, d))?;
-                    }
-                    out.push(col);
-                }
-            }
-        }
-        Ok(out)
+            GroupMap::Dense(m) => (0..cols.len())
+                .map(|d| {
+                    let slots = m.gid_to_code.iter();
+                    let slots = slots.map(|&code| m.space.slot(code as usize, d) as u64);
+                    m.space.dims[d].key_column(table.column(m.space.cols[d]), slots)
+                })
+                .collect(),
+            GroupMap::Wide(m) => (0..cols.len())
+                .map(|d| {
+                    let slots = m.gid_to_code.iter().map(|&code| m.space.slot(code, d));
+                    m.space.dims[d].key_column(table.column(m.space.cols[d]), slots)
+                })
+                .collect(),
+        })
     }
 }
 
@@ -971,8 +1123,18 @@ mod tests {
             ],
             &mut st,
         );
+        let wide = WideKeySpace::try_build(&t, &[0, 1]).unwrap();
+        let (wide_ids, wide_len) = run(
+            vec![
+                GroupMap::Wide(WideGroupMap::new(wide.clone())),
+                GroupMap::Wide(WideGroupMap::new(wide)),
+            ],
+            &mut st,
+        );
         assert_eq!(hash_ids, dense_ids);
         assert_eq!(hash_len, dense_len);
+        assert_eq!(hash_ids, wide_ids);
+        assert_eq!(hash_len, wide_len);
     }
 
     #[test]
@@ -1066,24 +1228,45 @@ mod tests {
     }
 
     #[test]
-    fn build_key_columns_matches_stored_keys_on_both_paths() {
+    fn build_key_columns_matches_stored_keys_on_every_path() {
         let t = mixed_table();
         let mut st = ExecStats::default();
         let mut hash = GroupMap::Hash(RowKeyMap::new());
         let mut dense = GroupMap::choose(&t, &[0, 1], 1 << 20);
+        let mut wide = GroupMap::Wide(WideGroupMap::new(
+            WideKeySpace::try_build(&t, &[0, 1]).unwrap(),
+        ));
         assert_eq!(dense.path(), "dense");
         assert_eq!(hash.path(), "hash");
-        for row in 0..t.num_rows() {
+        assert_eq!(wide.path(), "wide");
+        // Scan from row 1: TX is the first string key seen, so the output
+        // dictionary's intern order differs from the input's (CA, TX).
+        for row in (1..t.num_rows()).chain(0..1) {
             hash.get_or_insert_row(&t, &[0, 1], row, &mut st);
             dense.get_or_insert_row(&t, &[0, 1], row, &mut st);
+            wide.get_or_insert_row(&t, &[0, 1], row, &mut st);
         }
         let h = hash.build_key_columns(&t, &[0, 1]).unwrap();
-        let d = dense.build_key_columns(&t, &[0, 1]).unwrap();
         assert_eq!(h.len(), 2);
-        for (hc, dc) in h.iter().zip(&d) {
-            assert_eq!(hc.len(), hash.len());
-            for i in 0..hc.len() {
-                assert_eq!(hc.get(i), dc.get(i));
+        let Column::Str { dict, .. } = &h[0] else {
+            panic!("string key column")
+        };
+        let order: Vec<&str> = dict.values().iter().map(|s| s.as_ref()).collect();
+        assert_eq!(order, ["TX", "CA"], "interned in group order");
+        for map in [&dense, &wide] {
+            let c = map.build_key_columns(&t, &[0, 1]).unwrap();
+            for (hc, cc) in h.iter().zip(&c) {
+                assert_eq!(hc.len(), hash.len(), "{}", map.path());
+                assert_eq!(hc.str_codes(), cc.str_codes(), "{}", map.path());
+                assert_eq!(hc.int_data(), cc.int_data(), "{}", map.path());
+                let valid = |c: &Column| c.validity().iter().collect::<Vec<bool>>();
+                assert_eq!(valid(hc), valid(cc), "{}", map.path());
+                if let (Column::Str { dict: hd, .. }, Column::Str { dict: cd, .. }) = (hc, cc) {
+                    assert_eq!(hd.values(), cd.values(), "{}", map.path());
+                }
+                for i in 0..hc.len() {
+                    assert_eq!(hc.get(i), cc.get(i), "{}", map.path());
+                }
             }
         }
     }

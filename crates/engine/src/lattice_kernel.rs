@@ -35,16 +35,16 @@
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::guard::ResourceGuard;
-use crate::keymap::{DenseGroupMap, DenseKeySpace, WideKeySpace, WideProjector};
+use crate::keymap::{DenseGroupMap, DenseKeySpace, WideGroupMap, WideKeySpace, WideProjector};
 use crate::ops::acc::Acc;
 use crate::ops::aggregate::{check_aggregate, AggFunc, AggSpec};
 use crate::ops::partial::ShardPartial;
 use crate::parallel::fan_out;
 use crate::stats::ExecStats;
 use crate::vector::RLE_RUN_DIVISOR;
-use crate::vector::{raw_acc, wide_gid, BlockCoder, LaneSrc, RawLane, WideCoder, BLOCK_ROWS};
+use crate::vector::{raw_acc, BlockCoder, LaneSrc, RawLane, WideCoder, BLOCK_ROWS};
 use pa_obs::SpanHandle;
-use pa_storage::{DataType, Field, FxHashMap, Table, Value};
+use pa_storage::{DataType, Field, Table, Value};
 use std::ops::Range;
 
 /// How the finest composite code projects onto one requested level.
@@ -82,10 +82,8 @@ enum LevelAcc {
     /// Occupancy bitmap over the level's code space; lanes indexed by the
     /// level code itself, `order` holding first-appearance codes.
     DenseDirect { seen: Vec<u64>, order: Vec<u32> },
-    Wide {
-        map: FxHashMap<u64, u32>,
-        order: Vec<u64>,
-    },
+    /// Code→gid hash over the level's shift-packed sub-space.
+    Wide(WideGroupMap),
 }
 
 /// One worker's accumulation state for one level.
@@ -184,7 +182,7 @@ fn scan_dense(
                                 mark_seen(seen, order, child);
                                 child as usize
                             }
-                            LevelAcc::Wide { .. } => {
+                            LevelAcc::Wide(_) => {
                                 unreachable!("dense scan pairs with dense maps")
                             }
                         };
@@ -230,7 +228,7 @@ fn scan_dense(
                                 }
                             }
                         }
-                        LevelAcc::Wide { .. } => {
+                        LevelAcc::Wide(_) => {
                             unreachable!("dense scan pairs with dense maps")
                         }
                     }
@@ -286,10 +284,10 @@ fn scan_wide(
                         let LevelProj::Wide { proj, .. } = proj else {
                             unreachable!("wide scan pairs with wide projections")
                         };
-                        let LevelAcc::Wide { map, order } = &mut state.acc else {
+                        let LevelAcc::Wide(map) = &mut state.acc else {
                             unreachable!("wide scan pairs with wide maps")
                         };
-                        let g = wide_gid(map, order, proj.project(code), stats);
+                        let g = map.get_or_insert_code(proj.project(code), stats);
                         for (lane, src) in state.lanes.iter_mut().zip(srcs) {
                             lane.ensure(g + 1);
                             lane.accumulate_run(src, start + i..start + j, g);
@@ -302,13 +300,13 @@ fn scan_wide(
                     let LevelProj::Wide { proj, .. } = proj else {
                         unreachable!("wide scan pairs with wide projections")
                     };
-                    let LevelAcc::Wide { map, order } = &mut state.acc else {
+                    let LevelAcc::Wide(map) = &mut state.acc else {
                         unreachable!("wide scan pairs with wide maps")
                     };
                     for (g, &code) in gids[..len].iter_mut().zip(block.iter()) {
-                        *g = wide_gid(map, order, proj.project(code), stats) as u32;
+                        *g = map.get_or_insert_code(proj.project(code), stats) as u32;
                     }
-                    let n_groups = order.len();
+                    let n_groups = map.len();
                     for (lane, src) in state.lanes.iter_mut().zip(srcs) {
                         lane.ensure(n_groups);
                         lane.scatter(src, start..start + len, &gids[..len]);
@@ -349,7 +347,7 @@ fn worker_partials(
             let n_groups = match &state.acc {
                 LevelAcc::Dense(map) => map.len(),
                 LevelAcc::DenseDirect { order, .. } => order.len(),
-                LevelAcc::Wide { order, .. } => order.len(),
+                LevelAcc::Wide(map) => map.len(),
             };
             if !matches!(state.acc, LevelAcc::DenseDirect { .. }) {
                 for lane in &mut state.lanes {
@@ -375,8 +373,8 @@ fn worker_partials(
                                 .collect();
                             (key, code)
                         }
-                        (LevelAcc::Wide { order, .. }, LevelProj::Wide { space, .. }) => {
-                            let code = order[gid];
+                        (LevelAcc::Wide(map), LevelProj::Wide { space, .. }) => {
+                            let code = map.codes()[gid];
                             let key = (0..dims.len())
                                 .map(|d| space.key_value(input, code, d))
                                 .collect();
@@ -518,10 +516,9 @@ pub fn lattice_aggregate(
                     LevelProj::Dense { space, .. } => {
                         LevelAcc::Dense(DenseGroupMap::new(space.clone()))
                     }
-                    LevelProj::Wide { .. } => LevelAcc::Wide {
-                        map: FxHashMap::default(),
-                        order: Vec::new(),
-                    },
+                    LevelProj::Wide { space, .. } => {
+                        LevelAcc::Wide(WideGroupMap::new(space.clone()))
+                    }
                 };
                 let mut lanes: Vec<RawLane> = srcs.iter().map(|_| RawLane::default()).collect();
                 // Direct-indexed lanes span the whole code space up front;

@@ -32,7 +32,7 @@ pub use error::{EngineError, Result};
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use guard::{Deadline, ResourceGuard, CANCEL_CHECK_INTERVAL};
 pub use keymap::{
-    DenseGroupMap, DenseKeySpace, GroupMap, RowKeyMap, WideKeySpace, WideProjector,
+    DenseGroupMap, DenseKeySpace, GroupMap, RowKeyMap, WideGroupMap, WideKeySpace, WideProjector,
     DEFAULT_DENSE_BUDGET,
 };
 pub use lattice_kernel::lattice_aggregate;

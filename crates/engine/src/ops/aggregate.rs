@@ -21,11 +21,13 @@
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
 use crate::guard::ResourceGuard;
-use crate::keymap::{DenseKeySpace, GroupMap, WideKeySpace};
+use crate::keymap::{
+    DenseGroupMap, DenseKeySpace, GroupMap, RowKeyMap, WideGroupMap, WideKeySpace,
+};
 use crate::ops::acc::Acc;
 use crate::parallel::{fan_out, ParallelConfig};
 use crate::stats::ExecStats;
-use crate::vector::{BlockCoder, FusedAgg, FusedWideAgg, LaneSrc, NumSlice, WideCoder};
+use crate::vector::{BlockCoder, FusedAgg, LaneSrc, NumSlice, WideCoder};
 use pa_obs::SpanHandle;
 use pa_storage::{Column, DataType, Field, Schema, Table};
 
@@ -225,10 +227,10 @@ fn lane_slices<'a>(kernels: &[Kernel], input: &'a Table) -> Vec<Option<NumSlice<
 /// (DESIGN.md §12): the fused block pipeline when eligible, otherwise the
 /// scalar per-row loop over typed slices hoisted out of the row loop.
 enum LevelExec<'a> {
-    Fused(Box<FusedAgg<'a>>),
-    /// Hash (over-budget) group path with the same block discipline:
+    Fused(Box<FusedAgg<'a, BlockCoder<'a>, DenseGroupMap>>),
+    /// Wide (over-budget) group path with the same block discipline:
     /// shift-packed `u64` codes per block, one hash probe per row or run.
-    FusedWide(Box<FusedWideAgg<'a>>),
+    FusedWide(Box<FusedAgg<'a, WideCoder<'a>, WideGroupMap>>),
     Scalar(Vec<Option<NumSlice<'a>>>),
 }
 
@@ -239,10 +241,6 @@ struct Level {
     aggs: Vec<AggSpec>,
     kernels: Vec<Kernel>,
     map: GroupMap,
-    /// Shift-packed key space for the vectorized hash path, built once per
-    /// plan (the domain scan is O(n)) when the dense space is over budget
-    /// but the dimensions still pack into 64 bits.
-    wide: Option<WideKeySpace>,
     accs: Vec<Acc>, // groups × aggs, flat
 }
 
@@ -267,7 +265,7 @@ impl Level {
         }
     }
 
-    /// The fused pipeline on the **hash** group path: the dense space was
+    /// The fused pipeline on the **wide** group path: the dense space was
     /// refused (over budget), but the dimensions shift-pack into a `u64`
     /// and every dimension reads through a packed/typed vector.
     fn fused_wide_coder<'a>(
@@ -276,9 +274,7 @@ impl Level {
         config: &ParallelConfig,
     ) -> Option<WideCoder<'a>> {
         match &self.map {
-            GroupMap::Hash(_) if self.fusable(config) => {
-                WideCoder::try_new(input, self.wide.as_ref()?)
-            }
+            GroupMap::Wide(map) if self.fusable(config) => WideCoder::try_new(input, map.space()),
             _ => None,
         }
     }
@@ -307,27 +303,32 @@ impl Level {
         if let Some(coder) = self.fused_coder(input, config) {
             let srcs = self.lane_srcs(input);
             stats.pack_width = stats.pack_width.max(coder.pack_width() as u64);
-            // The fused state owns the dense map for the duration of the
-            // chunk; end_chunk puts it back along with the accumulators.
-            let GroupMap::Dense(map) = std::mem::replace(&mut self.map, GroupMap::for_space(None))
-            else {
+            let GroupMap::Dense(map) = self.take_map() else {
                 unreachable!("fused_coder requires the dense path");
             };
-            debug_assert!(self.accs.is_empty(), "fused chunks start from empty state");
             LevelExec::Fused(Box::new(FusedAgg::new(coder, map, srcs)))
         } else if let Some(coder) = self.fused_wide_coder(input, config) {
             let srcs = self.lane_srcs(input);
             stats.pack_width = stats.pack_width.max(coder.pack_width() as u64);
-            debug_assert!(self.accs.is_empty(), "fused chunks start from empty state");
-            let space = self.wide.clone().expect("fused_wide_coder checked");
-            LevelExec::FusedWide(Box::new(FusedWideAgg::new(input, coder, space, srcs)))
+            let GroupMap::Wide(map) = self.take_map() else {
+                unreachable!("fused_wide_coder requires the wide path");
+            };
+            LevelExec::FusedWide(Box::new(FusedAgg::new(coder, map, srcs)))
         } else {
             LevelExec::Scalar(lane_slices(&self.kernels, input))
         }
     }
 
+    /// Move the code map out for a fused chunk: the fused state owns it for
+    /// the duration of the chunk, and [`Level::end_chunk`] puts it back
+    /// along with the accumulators.
+    fn take_map(&mut self) -> GroupMap {
+        debug_assert!(self.accs.is_empty(), "fused chunks start from empty state");
+        std::mem::replace(&mut self.map, GroupMap::Hash(RowKeyMap::new()))
+    }
+
     /// Fold a chunk's fused state back into the level (no-op for scalar).
-    fn end_chunk(&mut self, exec: LevelExec<'_>, stats: &mut ExecStats) {
+    fn end_chunk(&mut self, exec: LevelExec<'_>) {
         let funcs: Vec<AggFunc> = self.aggs.iter().map(|s| s.func).collect();
         match exec {
             LevelExec::Fused(fused) => {
@@ -336,15 +337,8 @@ impl Level {
                 self.accs = accs;
             }
             LevelExec::FusedWide(fused) => {
-                // Replay the decoded keys into the level's row-key map in
-                // first-appearance order: gids and group order come out
-                // exactly as the scalar per-row loop would have assigned
-                // them, so worker merges and finish() are path-oblivious.
-                let (keys, accs) = fused.into_keys_accs(&funcs);
-                for key in &keys {
-                    let gid = self.map.get_or_insert_key(key, stats);
-                    debug_assert_eq!(gid + 1, self.map.len(), "keys arrive deduplicated");
-                }
+                let (map, accs) = fused.into_accs(&funcs);
+                self.map = GroupMap::Wide(map);
                 self.accs = accs;
             }
             LevelExec::Scalar(_) => {}
@@ -414,8 +408,8 @@ impl Level {
     }
 
     /// Materialize the level: key columns built directly from the group
-    /// map's stored keys (no per-row `Vec<Value>` clone), aggregate columns
-    /// from the accumulator matrix.
+    /// map's codes or stored keys (no per-row `Vec<Value>` clone),
+    /// aggregate columns from the accumulator matrix.
     fn finish(self, input: &Table, stats: &mut ExecStats) -> Result<Table> {
         let input_schema = input.schema();
         let mut fields: Vec<Field> = self
@@ -533,7 +527,7 @@ fn scan_chunk(
     // Fold fused state back even on early exit, so a budget/cancellation
     // error never leaves a level with its map swapped out.
     for (lvl, exec) in lvls.iter_mut().zip(execs) {
-        lvl.end_chunk(exec, stats);
+        lvl.end_chunk(exec);
     }
     result
 }
@@ -583,8 +577,9 @@ pub fn multi_hash_aggregate(
         }
     }
     // Over-budget levels may still vectorize through shift-packed u64
-    // codes; the domain scan is O(n) per level, so build the space once
-    // here and let workers clone it (cheap: a few Vecs of dimension arity).
+    // codes and group on the wide map; the domain scan is O(n) per level,
+    // so build the space once here and let workers clone it (cheap: a few
+    // Vecs of dimension arity).
     let wides: Vec<Option<WideKeySpace>> = levels
         .iter()
         .zip(&kernels)
@@ -610,8 +605,11 @@ pub fn multi_hash_aggregate(
                 group_cols: cols.clone(),
                 aggs: aggs.clone(),
                 kernels: ks.clone(),
-                map: GroupMap::for_space(space.clone()),
-                wide: wide.clone(),
+                map: match (space, wide) {
+                    (Some(space), _) => GroupMap::Dense(DenseGroupMap::new(space.clone())),
+                    (None, Some(wide)) => GroupMap::Wide(WideGroupMap::new(wide.clone())),
+                    (None, None) => GroupMap::Hash(RowKeyMap::new()),
+                },
                 accs: Vec::new(),
             })
             .collect()
@@ -1195,6 +1193,24 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         assert_eq!(guard.rows_charged(), 0, "no morsel was admitted");
+    }
+
+    #[test]
+    fn serial_wide_aggregate_builds_each_group_once() {
+        // A one-code dense budget refuses the dense space, so the fused
+        // wide path groups every level. Each new group is one hash build,
+        // with no second count for handing the groups to the output.
+        let t = big(5_000, 37);
+        let guard = G.with_config(ParallelConfig {
+            dense_budget: 1,
+            ..ParallelConfig::serial()
+        });
+        let mut st = ExecStats::default();
+        let specs = [AggSpec::new(AggFunc::Sum, Expr::Col(2), "total")];
+        let out = hash_aggregate(&t, &[0, 1], &specs, &guard, &mut st).unwrap();
+        assert_eq!((st.dense_group_ops, st.hash_group_ops), (0, 1));
+        assert_eq!(st.vectorized_kernel_rows, 5_000, "fused wide path engaged");
+        assert_eq!(st.hash_build_rows, out.num_rows() as u64);
     }
 
     #[test]

@@ -29,18 +29,19 @@
 //!   lanes that cannot fuse still resolve their typed slices once per scan
 //!   instead of re-matching the column enum per row.
 //!
-//! Eligibility: a grouping pass fuses when its group map took the dense
-//! code path, every lane is a typed numeric `sum`/`avg`/`count`/`count(*)`
-//! kernel, and every key dimension reads through a packed or integer
-//! vector. Everything else — float keys, over-budget dictionaries, min/max
-//! or expression lanes — falls back to the (hoisted) scalar loop, and the
-//! chosen path is recorded in [`crate::ExecStats`] and on trace spans.
+//! Eligibility: a grouping pass fuses when its group map took one of the
+//! code paths (dense, or wide past the dense budget), every lane is a typed
+//! numeric `sum`/`avg`/`count`/`count(*)` kernel, and every key dimension
+//! reads through a packed or integer vector. Everything else — float keys,
+//! keys that do not pack into 64 bits, min/max or expression lanes — falls
+//! back to the (hoisted) scalar loop, and the chosen path is recorded in
+//! [`crate::ExecStats`] and on trace spans.
 
-use crate::keymap::{DenseGroupMap, DenseKeySpace, DimCoder, WideKeySpace};
+use crate::keymap::{DenseGroupMap, DenseKeySpace, DimCoder, WideGroupMap, WideKeySpace};
 use crate::ops::acc::Acc;
 use crate::ops::aggregate::AggFunc;
 use crate::stats::ExecStats;
-use pa_storage::{Column, FxHashMap, PackedCodes, Table, Value};
+use pa_storage::{Column, PackedCodes, Table};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -460,31 +461,86 @@ pub fn raw_acc(func: AggFunc, sum: f64, count: i64) -> Acc {
 
 // ---- fused aggregate state -----------------------------------------------
 
+/// Fills blocks of composite codes: dense `u32` radix codes
+/// ([`BlockCoder`]) or wide `u64` shift-packed codes ([`WideCoder`]).
+pub(crate) trait FillCodes {
+    /// The composite-code type of the block.
+    type Code: Copy + Default + PartialEq;
+    /// Compute the codes of rows `start..start + out.len()` into `out`.
+    fn fill_codes(&self, start: usize, out: &mut [Self::Code]);
+}
+
+impl FillCodes for BlockCoder<'_> {
+    type Code = u32;
+    #[inline]
+    fn fill_codes(&self, start: usize, out: &mut [u32]) {
+        self.fill(start, out);
+    }
+}
+
+impl FillCodes for WideCoder<'_> {
+    type Code = u64;
+    #[inline]
+    fn fill_codes(&self, start: usize, out: &mut [u64]) {
+        self.fill(start, out);
+    }
+}
+
+/// Resolves composite codes to first-appearance group ids: a
+/// direct-addressed array for dense codes, a hash for wide ones.
+pub(crate) trait CodeGroups<Code> {
+    /// Number of distinct groups seen.
+    fn num_groups(&self) -> usize;
+    /// Group id for `code`, inserting a new group when unseen.
+    fn gid(&mut self, code: Code, stats: &mut ExecStats) -> usize;
+}
+
+impl CodeGroups<u32> for DenseGroupMap {
+    #[inline]
+    fn num_groups(&self) -> usize {
+        self.len()
+    }
+    #[inline]
+    fn gid(&mut self, code: u32, _stats: &mut ExecStats) -> usize {
+        self.get_or_insert_code(code as usize)
+    }
+}
+
+impl CodeGroups<u64> for WideGroupMap {
+    #[inline]
+    fn num_groups(&self) -> usize {
+        self.len()
+    }
+    #[inline]
+    fn gid(&mut self, code: u64, stats: &mut ExecStats) -> usize {
+        self.get_or_insert_code(code, stats)
+    }
+}
+
 /// Per-worker state for one fused grouping level of the aggregate
 /// operator: scan → unpack/encode → gid → scatter, with the RLE run path
-/// when blocks are run-dominated.
-pub(crate) struct FusedAgg<'a> {
-    coder: BlockCoder<'a>,
-    pub(crate) map: DenseGroupMap,
+/// when blocks are run-dominated. The same pipeline runs on dense codes
+/// within the budget and on wide codes past it; either way group ids are
+/// assigned in first-appearance order and codes are a bijection onto key
+/// tuples, so the output is byte-identical to the scalar path.
+pub(crate) struct FusedAgg<'a, C: FillCodes, M> {
+    coder: C,
+    map: M,
     srcs: Vec<LaneSrc<'a>>,
     lanes: Vec<RawLane>,
-    codes: Box<[u32; BLOCK_ROWS]>,
+    codes: Box<[C::Code]>,
     gids: Box<[u32; BLOCK_ROWS]>,
 }
 
-impl<'a> FusedAgg<'a> {
-    pub(crate) fn new(
-        coder: BlockCoder<'a>,
-        map: DenseGroupMap,
-        srcs: Vec<LaneSrc<'a>>,
-    ) -> FusedAgg<'a> {
+impl<'a, C: FillCodes, M: CodeGroups<C::Code>> FusedAgg<'a, C, M> {
+    pub(crate) fn new(coder: C, map: M, srcs: Vec<LaneSrc<'a>>) -> FusedAgg<'a, C, M> {
         let lanes = srcs.iter().map(|_| RawLane::default()).collect();
         FusedAgg {
             coder,
             map,
             srcs,
             lanes,
-            codes: Box::new([0; BLOCK_ROWS]),
+            codes: vec![C::Code::default(); BLOCK_ROWS].into_boxed_slice(),
             gids: Box::new([0; BLOCK_ROWS]),
         }
     }
@@ -501,7 +557,7 @@ impl<'a> FusedAgg<'a> {
 
     fn absorb_block(&mut self, start: usize, len: usize, stats: &mut ExecStats) {
         let codes = &mut self.codes[..len];
-        self.coder.fill(start, codes);
+        self.coder.fill_codes(start, codes);
         stats.vectorized_kernel_rows += len as u64;
 
         // Run-dominated blocks (sorted/clustered keys) take the RLE path:
@@ -519,7 +575,7 @@ impl<'a> FusedAgg<'a> {
                 while j < len && codes[j] == code {
                     j += 1;
                 }
-                let g = self.map.get_or_insert_code(code as usize);
+                let g = self.map.gid(code, stats);
                 for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
                     lane.ensure(g + 1);
                     lane.accumulate_run(src, start + i..start + j, g);
@@ -531,19 +587,20 @@ impl<'a> FusedAgg<'a> {
 
         let gids = &mut self.gids[..len];
         for (g, &code) in gids.iter_mut().zip(codes.iter()) {
-            *g = self.map.get_or_insert_code(code as usize) as u32;
+            *g = self.map.gid(code, stats) as u32;
         }
-        let n_groups = self.map.len();
+        let n_groups = self.map.num_groups();
         for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
             lane.ensure(n_groups);
             lane.scatter(src, start..start + len, gids);
         }
     }
 
-    /// Collapse into the dense map plus the flat `groups × lanes` [`Acc`]
-    /// matrix the scalar path builds, so merge and finish are shared.
-    pub(crate) fn into_accs(mut self, funcs: &[AggFunc]) -> (DenseGroupMap, Vec<Acc>) {
-        let n = self.map.len();
+    /// Collapse into the group map plus the flat `groups × lanes` [`Acc`]
+    /// matrix the scalar path builds, so merge and finish are shared and
+    /// keys stay codes until the output columns are built.
+    pub(crate) fn into_accs(mut self, funcs: &[AggFunc]) -> (M, Vec<Acc>) {
+        let n = self.map.num_groups();
         for lane in &mut self.lanes {
             lane.ensure(n);
         }
@@ -555,142 +612,6 @@ impl<'a> FusedAgg<'a> {
             }
         }
         (self.map, accs)
-    }
-}
-
-/// Per-worker state for one fused *wide* (over-budget) grouping level:
-/// scan → unpack/encode `u64` codes → gid via one-integer hash → scatter,
-/// with the same RLE run path as the dense pipeline. Group ids are
-/// assigned in first-appearance order and the codes are a bijection onto
-/// key tuples, so the output is byte-identical to the scalar hash path.
-pub(crate) struct FusedWideAgg<'a> {
-    table: &'a Table,
-    coder: WideCoder<'a>,
-    space: WideKeySpace,
-    code_to_gid: FxHashMap<u64, u32>,
-    gid_to_code: Vec<u64>,
-    srcs: Vec<LaneSrc<'a>>,
-    lanes: Vec<RawLane>,
-    codes: Box<[u64; BLOCK_ROWS]>,
-    gids: Box<[u32; BLOCK_ROWS]>,
-}
-
-/// Group id for a wide code, inserting in first-appearance order — a free
-/// function over the two map fields so block loops can hold disjoint
-/// borrows of the code/gid scratch at the same time.
-#[inline]
-pub(crate) fn wide_gid(
-    code_to_gid: &mut FxHashMap<u64, u32>,
-    gid_to_code: &mut Vec<u64>,
-    code: u64,
-    stats: &mut ExecStats,
-) -> usize {
-    stats.hash_probes += 1;
-    match code_to_gid.entry(code) {
-        std::collections::hash_map::Entry::Occupied(e) => *e.get() as usize,
-        std::collections::hash_map::Entry::Vacant(e) => {
-            let gid = gid_to_code.len() as u32;
-            e.insert(gid);
-            gid_to_code.push(code);
-            stats.hash_build_rows += 1;
-            gid as usize
-        }
-    }
-}
-
-impl<'a> FusedWideAgg<'a> {
-    pub(crate) fn new(
-        table: &'a Table,
-        coder: WideCoder<'a>,
-        space: WideKeySpace,
-        srcs: Vec<LaneSrc<'a>>,
-    ) -> FusedWideAgg<'a> {
-        let lanes = srcs.iter().map(|_| RawLane::default()).collect();
-        FusedWideAgg {
-            table,
-            coder,
-            space,
-            code_to_gid: FxHashMap::default(),
-            gid_to_code: Vec::new(),
-            srcs,
-            lanes,
-            codes: Box::new([0; BLOCK_ROWS]),
-            gids: Box::new([0; BLOCK_ROWS]),
-        }
-    }
-
-    /// Absorb one morsel, block by block.
-    pub(crate) fn absorb_morsel(&mut self, morsel: Range<usize>, stats: &mut ExecStats) {
-        let mut start = morsel.start;
-        while start < morsel.end {
-            let len = BLOCK_ROWS.min(morsel.end - start);
-            self.absorb_block(start, len, stats);
-            start += len;
-        }
-    }
-
-    fn absorb_block(&mut self, start: usize, len: usize, stats: &mut ExecStats) {
-        let codes = &mut self.codes[..len];
-        self.coder.fill(start, codes);
-        stats.vectorized_kernel_rows += len as u64;
-
-        let mut runs = 1usize;
-        for k in 1..len {
-            runs += usize::from(codes[k] != codes[k - 1]);
-        }
-        if runs * RLE_RUN_DIVISOR <= len {
-            stats.rle_runs += runs as u64;
-            let mut i = 0usize;
-            while i < len {
-                let code = codes[i];
-                let mut j = i + 1;
-                while j < len && codes[j] == code {
-                    j += 1;
-                }
-                let g = wide_gid(&mut self.code_to_gid, &mut self.gid_to_code, code, stats);
-                for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
-                    lane.ensure(g + 1);
-                    lane.accumulate_run(src, start + i..start + j, g);
-                }
-                i = j;
-            }
-            return;
-        }
-
-        let gids = &mut self.gids[..len];
-        for (g, &code) in gids.iter_mut().zip(codes.iter()) {
-            *g = wide_gid(&mut self.code_to_gid, &mut self.gid_to_code, code, stats) as u32;
-        }
-        let n_groups = self.gid_to_code.len();
-        for (lane, src) in self.lanes.iter_mut().zip(&self.srcs) {
-            lane.ensure(n_groups);
-            lane.scatter(src, start..start + len, gids);
-        }
-    }
-
-    /// Collapse into decoded key tuples (group-id order) plus the flat
-    /// `groups × lanes` [`Acc`] matrix — the exact state the scalar hash
-    /// path holds after the same rows, so merge and finish are shared.
-    pub(crate) fn into_keys_accs(mut self, funcs: &[AggFunc]) -> (Vec<Vec<Value>>, Vec<Acc>) {
-        let n = self.gid_to_code.len();
-        for lane in &mut self.lanes {
-            lane.ensure(n);
-        }
-        let n_dims = self.space.cols().len();
-        let mut keys = Vec::with_capacity(n);
-        let mut accs = Vec::with_capacity(n * funcs.len());
-        for (gid, &code) in self.gid_to_code.iter().enumerate() {
-            keys.push(
-                (0..n_dims)
-                    .map(|d| self.space.key_value(self.table, code, d))
-                    .collect(),
-            );
-            for (lane, &func) in self.lanes.iter().zip(funcs) {
-                let (sum, count) = lane.pair(gid);
-                accs.push(raw_acc(func, sum, count));
-            }
-        }
-        (keys, accs)
     }
 }
 
@@ -872,14 +793,15 @@ mod tests {
         let space = WideKeySpace::try_build(&t, &[0, 1]).unwrap();
         let coder = WideCoder::try_new(&t, &space).unwrap();
         let srcs = vec![LaneSrc::for_column(t.column(2)).unwrap()];
-        let mut fused = FusedWideAgg::new(&t, coder, space, srcs);
+        let mut fused = FusedAgg::new(coder, WideGroupMap::new(space), srcs);
         let mut stats = ExecStats::default();
         fused.absorb_morsel(0..n, &mut stats);
         assert_eq!(stats.vectorized_kernel_rows, n as u64);
-        let (keys, accs) = fused.into_keys_accs(&[AggFunc::Sum]);
-        assert_eq!(keys.len(), oracle_map.len(), "same groups in same order");
-        for g in 0..keys.len() {
-            for (d, k) in keys[g].iter().enumerate().take(2) {
+        let (map, accs) = fused.into_accs(&[AggFunc::Sum]);
+        assert_eq!(map.len(), oracle_map.len(), "same groups in same order");
+        for (g, &code) in map.codes().iter().enumerate() {
+            for d in 0..2 {
+                let k = map.space().key_value(&t, code, d);
                 assert!(k.key_eq(&oracle_map.keys()[g][d]), "gid {g}");
             }
             match (&accs[g], &oracle[g]) {

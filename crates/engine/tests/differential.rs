@@ -29,7 +29,11 @@ use pa_core::{
     HorizontalOptions, HorizontalQuery, HorizontalStrategy, ParallelMode, PercentageEngine,
     VpctQuery, VpctStrategy,
 };
-use pa_storage::{Catalog, DataType, Schema, Table, Value};
+use pa_engine::{
+    multi_hash_aggregate, AggFunc, AggSpec, ExecStats, Expr, ParallelConfig, ResourceGuard,
+    DEFAULT_DENSE_BUDGET,
+};
+use pa_storage::{Catalog, Column, DataType, Schema, Table, Value};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -451,6 +455,137 @@ fn group_paths_agree_on_both_sides_of_the_dense_budget() {
                     &got,
                 ) {
                     panic!("{diff}");
+                }
+            }
+        }
+    }
+}
+
+/// Fact table `(s Str, d Int, a Float)` with NULLs in both keys and the
+/// measure. The string dictionary is pre-interned in *reverse* order, so
+/// an output dictionary that copied the input's would intern differently
+/// from one built in group order.
+fn wide_key_table(n: usize, s_card: usize, d_card: i64) -> Table {
+    let schema = Schema::from_pairs(&[
+        ("s", DataType::Str),
+        ("d", DataType::Int),
+        ("a", DataType::Float),
+    ])
+    .unwrap()
+    .into_shared();
+    let mut s_col = Column::new(DataType::Str);
+    if let Column::Str { dict, .. } = &mut s_col {
+        for j in (0..s_card).rev() {
+            dict.intern(&format!("k{j}"));
+        }
+    }
+    let mut d_col = Column::new(DataType::Int);
+    let mut a_col = Column::new(DataType::Float);
+    let mut state = 0x5eed_0ff1_ce00_u64;
+    for i in 0..n {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let s = (i % 17 != 0).then(|| format!("k{}", (state >> 33) as usize % s_card));
+        let d = (i % 13 != 0).then_some(((state >> 17) % d_card as u64) as i64);
+        let a = (i % 11 != 0).then_some(((state >> 5) % 1000) as f64);
+        s_col.push(s.map_or(Value::Null, Value::str)).unwrap();
+        d_col.push(Value::from(d)).unwrap();
+        a_col.push(Value::from(a)).unwrap();
+    }
+    Table::from_columns(schema, vec![s_col, d_col, a_col]).unwrap()
+}
+
+/// Byte-level equality of two tables in row order: schema, every column's
+/// typed data and validity, and each string column's dictionary in intern
+/// order. Panics naming both plans and the first divergent column.
+fn assert_tables_identical(name_a: &str, a: &Table, name_b: &str, b: &Table) {
+    assert_eq!(a.schema(), b.schema(), "{name_a} vs {name_b}: schema");
+    for c in 0..a.num_columns() {
+        let (x, y) = (a.column(c), b.column(c));
+        let ctx = format!("{name_a} vs {name_b}: column {c}");
+        let valid = |col: &Column| col.validity().iter().collect::<Vec<bool>>();
+        assert_eq!(valid(x), valid(y), "{ctx} validity");
+        match (x, y) {
+            (Column::Str { dict: dx, .. }, Column::Str { dict: dy, .. }) => {
+                assert_eq!(dx.values(), dy.values(), "{ctx} dictionary order");
+                assert_eq!(x.str_codes(), y.str_codes(), "{ctx} codes");
+            }
+            (Column::Int { data: dx, .. }, Column::Int { data: dy, .. }) => {
+                assert_eq!(dx, dy, "{ctx} data");
+            }
+            (Column::Float { data: dx, .. }, Column::Float { data: dy, .. }) => {
+                let bits = |d: &[f64]| d.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+                assert_eq!(bits(dx), bits(dy), "{ctx} data");
+            }
+            _ => panic!("{ctx}: column types differ"),
+        }
+    }
+}
+
+/// The over-budget GROUP BY on the wide code path against the scalar
+/// `RowKeyMap` reference (`vector: false`), byte for byte — group order,
+/// typed key columns and output dictionary order included — at 1/2/4
+/// workers, for Fj plus a coarser level in one synchronized scan. Two
+/// inputs: a small key space pushed over a tiny `dense_budget`, and a real
+/// one whose radix product (1501 × 1001) exceeds the default 2^20 budget.
+#[test]
+fn wide_group_by_matches_scalar_row_key_reference() {
+    const N: usize = 60_000;
+    const MORSEL: usize = 4_096; // ~15 morsels: real fan-out at 4 workers
+    let cases = [
+        ("forced", wide_key_table(N, 40, 30), 16, 2u64),
+        (
+            "2^20",
+            wide_key_table(N, 1_500, 1_000),
+            DEFAULT_DENSE_BUDGET,
+            1,
+        ),
+    ];
+    for (case, t, dense_budget, wide_levels) in cases {
+        let aggs = vec![
+            AggSpec::new(AggFunc::Sum, Expr::Col(2), "total"),
+            AggSpec::new(AggFunc::Count, Expr::Col(2), "cnt"),
+            AggSpec::new(AggFunc::CountStar, Expr::lit(1), "n"),
+            AggSpec::new(AggFunc::Avg, Expr::Col(2), "mean"),
+        ];
+        let levels = vec![(vec![0, 1], aggs.clone()), (vec![0], aggs)];
+        let run = |threads: usize, vector: bool| {
+            let config = ParallelConfig {
+                threads,
+                morsel_rows: MORSEL,
+                min_parallel_rows: 0,
+                dense_budget,
+                vector,
+            };
+            let guard = ResourceGuard::unlimited().with_config(config);
+            let mut stats = ExecStats::default();
+            let out = multi_hash_aggregate(&t, &levels, &guard, &mut stats).unwrap();
+            (out, stats)
+        };
+        let (reference, ref_stats) = run(1, false);
+        assert_eq!(
+            ref_stats.vectorized_kernel_rows, 0,
+            "{case}: scalar reference"
+        );
+        assert_eq!(
+            ref_stats.hash_group_ops, wide_levels,
+            "{case}: {ref_stats:?}"
+        );
+        for threads in [1usize, 2, 4] {
+            for vector in [true, false] {
+                let (got, stats) = run(threads, vector);
+                if vector {
+                    assert_eq!(stats.scalar_kernel_rows, 0, "{case}: fused on every level");
+                    assert_eq!(stats.hash_group_ops, wide_levels, "{case}: {stats:?}");
+                }
+                for (level, (r, g)) in reference.iter().zip(&got).enumerate() {
+                    assert_tables_identical(
+                        &format!("{case}/scalar/serial/level {level}"),
+                        r,
+                        &format!("{case}/vector={vector}/threads={threads}/level {level}"),
+                        g,
+                    );
                 }
             }
         }
