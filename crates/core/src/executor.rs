@@ -397,6 +397,29 @@ impl<'a> PercentageEngine<'a> {
         }
     }
 
+    /// Run `f` under a per-query guard derived the way every query's is:
+    /// `limits` layered over the engine defaults, the engine guard's
+    /// cancellation, and the [`ParallelConfig`] resolved from the
+    /// environment — with the same panic containment. Entry points that
+    /// drive engine operators directly (the serving layer's sharded
+    /// aggregation) use it, so no scan runs unmetered. Returns `f`'s value
+    /// and the rows it charged.
+    pub fn run_limited<T>(
+        &self,
+        op: &str,
+        limits: QueryLimits,
+        f: impl FnOnce(&ResourceGuard) -> Result<T>,
+    ) -> Result<(T, u64)> {
+        let (v, charged, _) = self.run_query(
+            op,
+            limits,
+            &HorizontalOptions::default(),
+            None,
+            |_, guard| f(guard),
+        )?;
+        Ok((v, charged))
+    }
+
     /// A fresh tracer on the engine's clock.
     fn tracer(&self) -> Tracer {
         Tracer::enabled(Arc::clone(&self.clock))

@@ -418,37 +418,30 @@ pub fn eval_horizontal(
             // Jump-table CASE: when every term's BY columns dense-encode,
             // the pivot operator evaluates the CASE strategy with one
             // `composite code → output column` array index per row instead
-            // of the O(N) predicate chain. `hash_dispatch` is the ablation
-            // that forces every lookup (groups and cells) through the hash
-            // path (dense budget 0); ineligible inputs fall back to the
-            // legacy CASE chain.
-            let dense_eligible = opts.jump_table
-                && plans.iter().all(|p| {
-                    pa_engine::DenseKeySpace::try_build(src, &p.by_src_cols, par.dense_budget)
-                        .is_some()
-                });
-            if opts.hash_dispatch || dense_eligible {
-                let dense_budget = if opts.hash_dispatch {
-                    0
-                } else {
-                    par.dense_budget
-                };
-                let pivot_guard = guard.clone().with_config(ParallelConfig {
-                    dense_budget,
-                    ..par
-                });
+            // of the O(N) predicate chain. Eligibility comes from the cell
+            // maps the pivot plan builds for its own scan. `hash_dispatch`
+            // is the ablation that forces every lookup (groups and cells)
+            // through the hash path (dense budget 0); ineligible inputs
+            // fall back to the legacy CASE chain.
+            let dense_budget = if opts.hash_dispatch {
+                0
+            } else {
+                par.dense_budget
+            };
+            let pivot_guard = guard.clone().with_config(ParallelConfig {
+                dense_budget,
+                ..par
+            });
+            let tasks = plans_as_tasks(&plans);
+            let pivot = (opts.hash_dispatch || opts.jump_table)
+                .then(|| crate::dispatch::PivotPlan::new(src, &j_cols, &tasks, &pivot_guard))
+                .filter(|plan| opts.hash_dispatch || plan.jump_table());
+            if let Some(pivot) = pivot {
                 let flat_extras: Vec<(AggFunc, Expr)> = extra_specs_src
                     .iter()
                     .flat_map(|(lanes, _)| lanes.iter().cloned())
                     .collect();
-                crate::dispatch::pivot_aggregate(
-                    src,
-                    &j_cols,
-                    &plans_as_tasks(&plans),
-                    &flat_extras,
-                    &pivot_guard,
-                    &mut stats,
-                )?
+                pivot.run(&flat_extras, &pivot_guard, &mut stats)?
             } else {
                 case_raw(src, &j_cols, &plans, &extra_specs_src, guard, &mut stats)?
             }

@@ -16,7 +16,8 @@
 //! * When the fact table must be scanned at all, every uncached level
 //!   *rides the same scan* through the fused multi-level kernel
 //!   ([`pa_engine::lattice_aggregate`]): one pass codes each row
-//!   once and scatters every measure into every level's accumulators.
+//!   once and scatters every measure into every level's accumulators —
+//!   for every input, float keys and non-fusable lanes included.
 //! * Each level's merged partial is serialized into the catalog's
 //!   [`pa_storage::LatticeCache`], so a later query at the same level — or
 //!   at any coarser level — re-derives its totals from a cached partial
@@ -25,7 +26,7 @@
 //!   finer ancestor beats a freshly planned ancestor beats a fact scan,
 //!   *regardless of arity* (arity only breaks ties within a source kind).
 //! * [`plan_levels`] remains the cache-oblivious bottom-up planner the
-//!   original lattice evaluation used; serial fallbacks still follow it.
+//!   original lattice evaluation used.
 //!
 //! [`eval_vpct_lattice`] evaluates a multi-term `Vpct` query with that
 //! plan; [`eval_vpct_batch`] shares one fused summary scan across a whole
@@ -561,8 +562,7 @@ pub fn eval_vpct_lattice(
     stats.lattice_levels += steps.len() as u64;
 
     // One fused scan covers every FactTable step (the root is always among
-    // them when any step scans). Ineligible plans fall back to a scalar
-    // root aggregation; the remaining scan steps then derive from the root.
+    // them when any step scans).
     let scan_idx: Vec<usize> = steps
         .iter()
         .enumerate()
@@ -576,24 +576,16 @@ pub fn eval_vpct_lattice(
             .iter()
             .map(|&i| level_dims(&steps[i].level, &q.group_by))
             .collect();
-        match lattice_aggregate(&f, &k_cols, &fk_specs, &dims, guard, &mut stats)? {
-            Some(partials) => {
-                stats.levels_from_scan += partials.len() as u64;
-                for (&i, partial) in scan_idx.iter().zip(partials) {
-                    cache.store(
-                        &q.table,
-                        steps[i].level.columns(),
-                        &signature,
-                        partial.serialize(),
-                    );
-                    scan_tables.insert(i, partial.finalize(&mut stats)?);
-                }
-            }
-            None => {
-                let fk = hash_aggregate(&f, &k_cols, &fk_specs, guard, &mut stats)?;
-                stats.levels_from_scan += 1;
-                scan_tables.insert(0, fk);
-            }
+        let partials = lattice_aggregate(&f, &k_cols, &fk_specs, &dims, guard, &mut stats)?;
+        stats.levels_from_scan += partials.len() as u64;
+        for (&i, partial) in scan_idx.iter().zip(partials) {
+            cache.store(
+                &q.table,
+                steps[i].level.columns(),
+                &signature,
+                partial.serialize(),
+            );
+            scan_tables.insert(i, partial.finalize(&mut stats)?);
         }
     }
     drop(f);
@@ -605,23 +597,19 @@ pub fn eval_vpct_lattice(
     let mut level_tables: Vec<Table> = Vec::with_capacity(steps.len());
     for (idx, step) in steps.iter().enumerate() {
         let table = match &step.source {
-            LevelSource::FactTable => match scan_tables.remove(&idx) {
-                // The kernel's root keys follow q.group_by order already.
-                Some(t) if idx == 0 => t,
-                Some(t) => {
+            LevelSource::FactTable => {
+                let t = scan_tables
+                    .remove(&idx)
+                    .expect("the scan covers every scan step");
+                if idx == 0 {
+                    // The kernel's root keys follow q.group_by order already.
+                    t
+                } else {
                     let mut names = step.level.columns().to_vec();
                     names.extend(term_names.iter().cloned());
                     select_named(&t, &names, &mut stats)?
                 }
-                // Scalar fallback: ride-along levels derive from the root.
-                None => reaggregate_level(
-                    &level_tables[0],
-                    step.level.columns(),
-                    &q.terms,
-                    guard,
-                    &mut stats,
-                )?,
-            },
+            }
             LevelSource::Planned(i) => reaggregate_level(
                 &level_tables[*i],
                 step.level.columns(),
@@ -931,25 +919,13 @@ pub fn eval_vpct_batch(
         }
     } else {
         let dims: Vec<Vec<usize>> = levels.iter().map(|l| level_dims(l, &union_cols)).collect();
-        match lattice_aggregate(&f, &union_idx, &specs, &dims, guard, &mut stats)? {
-            Some(partials) => {
-                stats.levels_from_scan += partials.len() as u64;
-                for (l, partial) in levels.iter().zip(partials) {
-                    cache.store(table, l.columns(), &signature, partial.serialize());
-                    // Kernel key order is the union order already; finalize
-                    // sorts by it.
-                    level_tables.insert(l.clone(), partial.finalize(&mut stats)?);
-                }
-            }
-            None => {
-                // Ineligible for the fused kernel: scalar union aggregate,
-                // sorted into the canonical order; coarser levels re-derive
-                // from it below.
-                stats.levels_from_scan += 1;
-                let t = hash_aggregate(&f, &union_idx, &specs, guard, &mut stats)?;
-                let key_cols: Vec<usize> = (0..union_cols.len()).collect();
-                level_tables.insert(union_level.clone(), t.sorted_by(&key_cols));
-            }
+        let partials = lattice_aggregate(&f, &union_idx, &specs, &dims, guard, &mut stats)?;
+        stats.levels_from_scan += partials.len() as u64;
+        for (l, partial) in levels.iter().zip(partials) {
+            cache.store(table, l.columns(), &signature, partial.serialize());
+            // Kernel key order is the union order already; finalize sorts
+            // by it.
+            level_tables.insert(l.clone(), partial.finalize(&mut stats)?);
         }
         drop(f);
     }
@@ -961,9 +937,8 @@ pub fn eval_vpct_batch(
         .clone();
     create_table_as(catalog, &summary_name, summary, &mut stats)?;
 
-    // Any grouping level still missing (cache evicted it, or the scalar
-    // fallback computed only the union) re-aggregates the summary's
-    // distributive sums.
+    // Any grouping level still missing (the cache evicted it) re-aggregates
+    // the summary's distributive sums.
     let missing: Vec<Level> = levels
         .iter()
         .skip(1)

@@ -1,8 +1,10 @@
 //! # pa-engine — physical relational operators
 //!
 //! The execution layer the percentage-aggregation strategies compile to:
-//! expressions (with SQL three-valued logic and divide-by-zero → NULL), hash
-//! group-by aggregation with multi-level synchronized scans, inner/left-outer
+//! expressions (with SQL three-valued logic and divide-by-zero → NULL),
+//! grouped aggregation — GROUP BY, the synchronized multi-level `Fk`/`Fj`
+//! scan, dimension-lattice levels and shard partials all run as level specs
+//! over one grouped-aggregation driver — inner/left-outer
 //! hash joins with optional prebuilt indexes, DISTINCT, sort, bulk
 //! INSERT..SELECT, per-row UPDATE..FROM, and sort-based window functions
 //! (the OLAP-extension baseline).
@@ -17,6 +19,7 @@ pub mod chaos;
 pub mod clock;
 pub mod error;
 pub mod expr;
+mod grouping;
 pub mod guard;
 pub mod keymap;
 pub mod lattice_kernel;
@@ -53,4 +56,6 @@ pub use pa_obs::{MetricsRegistry, SpanHandle, SpanRecord, TraceReport, Tracer};
 pub use parallel::ParallelConfig;
 pub use sketch::{Hll, TDigest, HLL_REGISTERS, HLL_STD_ERROR, TDIGEST_RANK_EPSILON};
 pub use stats::{AbortCause, Degradation, ExecStats};
-pub use vector::{raw_acc, BlockCoder, LaneSrc, NumSlice, RawLane, WideCoder, BLOCK_ROWS};
+pub use vector::{
+    raw_acc, BlockCoder, LaneKernel, LaneSrc, NumSlice, RawLane, WideCoder, BLOCK_ROWS,
+};

@@ -1,4 +1,4 @@
-//! Hash group-by aggregation.
+//! Grouped aggregation.
 //!
 //! Implements the two-level aggregation at the heart of every percentage
 //! query: `Fk` = fine aggregation of `F`, `Fj` = coarse aggregation of `F`
@@ -7,29 +7,19 @@
 //!
 //! A single-pass synchronized scan computing several grouping levels at once
 //! ([`multi_hash_aggregate`]) implements the paper's "these scans can be
-//! synchronized to have effectively one scan".
-//!
-//! The scan is morsel-driven: the input is walked in fixed-size row morsels
-//! (the unit of guard charging and cancellation latency), and when the
-//! [`ParallelConfig`] allows it, contiguous runs of morsels fan out over
-//! scoped worker threads that accumulate into thread-local partial tables.
-//! Worker partials merge in worker order, which reproduces the serial
-//! group-id assignment exactly (DESIGN.md §7). Numeric `sum`/`avg`/`count`
-//! lanes over plain columns read through [`pa_storage::Column::get_f64`]
-//! instead of boxing a [`Value`] per cell.
+//! synchronized to have effectively one scan". Both entry points are level
+//! specs over the engine's one grouped-aggregation driver, which also runs
+//! the lattice kernel and shard partials: morsel-driven, fanned out over
+//! scoped workers when the [`ParallelConfig`](crate::ParallelConfig) allows
+//! it, and merged in worker order, which reproduces the serial group-id
+//! assignment exactly (DESIGN.md §7).
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
+use crate::grouping::{group_tables, Pass};
 use crate::guard::ResourceGuard;
-use crate::keymap::{
-    DenseGroupMap, DenseKeySpace, GroupMap, RowKeyMap, WideGroupMap, WideKeySpace,
-};
-use crate::ops::acc::Acc;
-use crate::parallel::{fan_out, ParallelConfig};
 use crate::stats::ExecStats;
-use crate::vector::{BlockCoder, FusedAgg, LaneSrc, NumSlice, WideCoder};
-use pa_obs::SpanHandle;
-use pa_storage::{Column, DataType, Field, Schema, Table};
+use pa_storage::{DataType, Schema, Table};
 
 /// A percentile fraction carried as its IEEE-754 bit pattern, so
 /// [`AggFunc`] stays `Copy + Eq` (f64 itself is not `Eq`). Two percentile
@@ -109,6 +99,20 @@ impl AggFunc {
         }
     }
 
+    /// The result type of this function over `input` in `schema`.
+    pub fn output_type(&self, input: &Expr, schema: &Schema) -> DataType {
+        match self {
+            AggFunc::Sum | AggFunc::Avg | AggFunc::Percentile(_) | AggFunc::ApproxPercentile(_) => {
+                DataType::Float
+            }
+            AggFunc::Count
+            | AggFunc::CountDistinct
+            | AggFunc::CountStar
+            | AggFunc::ApproxCountDistinct => DataType::Int,
+            AggFunc::Min | AggFunc::Max => input.output_type(schema).unwrap_or(DataType::Float),
+        }
+    }
+
     /// Whether re-aggregating partial results with the same function yields
     /// the total result (distributive per Gray et al.).
     pub fn is_distributive(&self) -> bool {
@@ -162,283 +166,7 @@ impl AggSpec {
     }
 
     pub(crate) fn output_type(&self, schema: &Schema) -> DataType {
-        match self.func {
-            AggFunc::Sum | AggFunc::Avg | AggFunc::Percentile(_) | AggFunc::ApproxPercentile(_) => {
-                DataType::Float
-            }
-            AggFunc::Count
-            | AggFunc::CountDistinct
-            | AggFunc::CountStar
-            | AggFunc::ApproxCountDistinct => DataType::Int,
-            AggFunc::Min | AggFunc::Max => {
-                self.input.output_type(schema).unwrap_or(DataType::Float)
-            }
-        }
-    }
-}
-
-/// How one aggregate lane reads its input per row.
-#[derive(Debug, Clone, Copy)]
-enum Kernel {
-    /// `sum`/`avg`/`count` over a plain numeric column: read through
-    /// `Column::get_f64`, no `Value` construction.
-    NumericCol(usize),
-    /// `count(*)`: no input read at all.
-    CountStar,
-    /// Everything else: evaluate the expression into a `Value`.
-    Generic,
-}
-
-/// Classify each spec against the input table's column types.
-fn classify_kernels(aggs: &[AggSpec], input: &Table) -> Vec<Kernel> {
-    aggs.iter()
-        .map(|spec| match spec.func {
-            AggFunc::CountStar => Kernel::CountStar,
-            AggFunc::Sum | AggFunc::Avg | AggFunc::Count => match spec.input {
-                Expr::Col(c)
-                    if c < input.num_columns()
-                        && matches!(
-                            input.column(c).data_type(),
-                            DataType::Int | DataType::Float
-                        ) =>
-                {
-                    Kernel::NumericCol(c)
-                }
-                _ => Kernel::Generic,
-            },
-            _ => Kernel::Generic,
-        })
-        .collect()
-}
-
-/// Typed column views for the scalar loop, resolved once per chunk instead
-/// of re-matching the column enum per row (`None` for non-column lanes).
-fn lane_slices<'a>(kernels: &[Kernel], input: &'a Table) -> Vec<Option<NumSlice<'a>>> {
-    kernels
-        .iter()
-        .map(|k| match k {
-            Kernel::NumericCol(c) => NumSlice::for_column(input.column(*c)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// How one level executes over one worker chunk, decided once per chunk
-/// (DESIGN.md §12): the fused block pipeline when eligible, otherwise the
-/// scalar per-row loop over typed slices hoisted out of the row loop.
-enum LevelExec<'a> {
-    Fused(Box<FusedAgg<'a, BlockCoder<'a>, DenseGroupMap>>),
-    /// Wide (over-budget) group path with the same block discipline:
-    /// shift-packed `u64` codes per block, one hash probe per row or run.
-    FusedWide(Box<FusedAgg<'a, WideCoder<'a>, WideGroupMap>>),
-    Scalar(Vec<Option<NumSlice<'a>>>),
-}
-
-/// One grouping level inside a (possibly multi-level) aggregation pass.
-#[derive(Debug)]
-struct Level {
-    group_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
-    kernels: Vec<Kernel>,
-    map: GroupMap,
-    accs: Vec<Acc>, // groups × aggs, flat
-}
-
-impl Level {
-    /// Whether this level's lanes and keys admit a fused vectorized
-    /// pipeline at all: vectors enabled, a non-empty key, and only typed
-    /// numeric / `count(*)` lanes. The decision is a pure function of the
-    /// (level, config) pair, so every worker chunk agrees with the planning
-    /// pass in [`multi_hash_aggregate`].
-    fn fusable(&self, config: &ParallelConfig) -> bool {
-        config.vector
-            && !self.group_cols.is_empty()
-            && !self.kernels.iter().any(|k| matches!(k, Kernel::Generic))
-    }
-
-    /// The fused pipeline on a dense group map whose every dimension reads
-    /// through a packed/typed vector.
-    fn fused_coder<'a>(&self, input: &'a Table, config: &ParallelConfig) -> Option<BlockCoder<'a>> {
-        match &self.map {
-            GroupMap::Dense(map) if self.fusable(config) => BlockCoder::try_new(input, map.space()),
-            _ => None,
-        }
-    }
-
-    /// The fused pipeline on the **wide** group path: the dense space was
-    /// refused (over budget), but the dimensions shift-pack into a `u64`
-    /// and every dimension reads through a packed/typed vector.
-    fn fused_wide_coder<'a>(
-        &self,
-        input: &'a Table,
-        config: &ParallelConfig,
-    ) -> Option<WideCoder<'a>> {
-        match &self.map {
-            GroupMap::Wide(map) if self.fusable(config) => WideCoder::try_new(input, map.space()),
-            _ => None,
-        }
-    }
-
-    /// The fused lane sources for a level whose kernels passed the
-    /// no-generic check.
-    fn lane_srcs<'a>(&self, input: &'a Table) -> Vec<LaneSrc<'a>> {
-        self.kernels
-            .iter()
-            .map(|k| match k {
-                Kernel::NumericCol(c) => LaneSrc::for_column(input.column(*c))
-                    .expect("classified numeric lane has a numeric column"),
-                Kernel::CountStar => LaneSrc::CountStar,
-                Kernel::Generic => unreachable!("fused paths reject generic lanes"),
-            })
-            .collect()
-    }
-
-    /// Pick this level's execution mode for one worker chunk.
-    fn begin_chunk<'a>(
-        &mut self,
-        input: &'a Table,
-        config: &ParallelConfig,
-        stats: &mut ExecStats,
-    ) -> LevelExec<'a> {
-        if let Some(coder) = self.fused_coder(input, config) {
-            let srcs = self.lane_srcs(input);
-            stats.pack_width = stats.pack_width.max(coder.pack_width() as u64);
-            let GroupMap::Dense(map) = self.take_map() else {
-                unreachable!("fused_coder requires the dense path");
-            };
-            LevelExec::Fused(Box::new(FusedAgg::new(coder, map, srcs)))
-        } else if let Some(coder) = self.fused_wide_coder(input, config) {
-            let srcs = self.lane_srcs(input);
-            stats.pack_width = stats.pack_width.max(coder.pack_width() as u64);
-            let GroupMap::Wide(map) = self.take_map() else {
-                unreachable!("fused_wide_coder requires the wide path");
-            };
-            LevelExec::FusedWide(Box::new(FusedAgg::new(coder, map, srcs)))
-        } else {
-            LevelExec::Scalar(lane_slices(&self.kernels, input))
-        }
-    }
-
-    /// Move the code map out for a fused chunk: the fused state owns it for
-    /// the duration of the chunk, and [`Level::end_chunk`] puts it back
-    /// along with the accumulators.
-    fn take_map(&mut self) -> GroupMap {
-        debug_assert!(self.accs.is_empty(), "fused chunks start from empty state");
-        std::mem::replace(&mut self.map, GroupMap::Hash(RowKeyMap::new()))
-    }
-
-    /// Fold a chunk's fused state back into the level (no-op for scalar).
-    fn end_chunk(&mut self, exec: LevelExec<'_>) {
-        let funcs: Vec<AggFunc> = self.aggs.iter().map(|s| s.func).collect();
-        match exec {
-            LevelExec::Fused(fused) => {
-                let (map, accs) = fused.into_accs(&funcs);
-                self.map = GroupMap::Dense(map);
-                self.accs = accs;
-            }
-            LevelExec::FusedWide(fused) => {
-                let (map, accs) = fused.into_accs(&funcs);
-                self.map = GroupMap::Wide(map);
-                self.accs = accs;
-            }
-            LevelExec::Scalar(_) => {}
-        }
-    }
-
-    fn absorb(
-        &mut self,
-        input: &Table,
-        row: usize,
-        slices: &[Option<NumSlice<'_>>],
-        stats: &mut ExecStats,
-    ) -> Result<()> {
-        let gid = if self.group_cols.is_empty() {
-            if self.map.is_empty() {
-                self.map.get_or_insert_key(&[], stats)
-            } else {
-                0
-            }
-        } else {
-            self.map
-                .get_or_insert_row(input, &self.group_cols, row, stats)
-        };
-        let base = gid * self.aggs.len();
-        if base + self.aggs.len() > self.accs.len() {
-            for spec in &self.aggs {
-                self.accs.push(Acc::new(spec.func));
-            }
-        }
-        for (i, spec) in self.aggs.iter().enumerate() {
-            match self.kernels[i] {
-                Kernel::CountStar => self.accs[base + i].update_f64(None),
-                Kernel::NumericCol(_) => {
-                    let s = slices[i].as_ref().expect("numeric lane has a typed slice");
-                    self.accs[base + i].update_f64(s.get_f64(row));
-                }
-                Kernel::Generic => {
-                    let v = spec.input.eval(input, row, stats)?;
-                    self.accs[base + i].update(&v)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold a worker's partial level into this one, preserving this level's
-    /// group order and appending the partial's unseen groups in its own
-    /// first-appearance order. Because workers scan contiguous chunks in
-    /// row order and merge in worker order, the merged group order equals
-    /// the serial scan's order.
-    fn merge_from(&mut self, other: Level, stats: &mut ExecStats) -> Result<()> {
-        let width = self.aggs.len();
-        let mut other_accs = other.accs.into_iter();
-        for gid in self.map.merge_ids(other.map, stats) {
-            let gid = gid as usize;
-            if (gid + 1) * width > self.accs.len() {
-                for spec in &self.aggs {
-                    self.accs.push(Acc::new(spec.func));
-                }
-            }
-            for i in 0..width {
-                let partial = other_accs.next().expect("partial accs cover groups × aggs");
-                self.accs[gid * width + i].merge(partial)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Materialize the level: key columns built directly from the group
-    /// map's codes or stored keys (no per-row `Vec<Value>` clone),
-    /// aggregate columns from the accumulator matrix.
-    fn finish(self, input: &Table, stats: &mut ExecStats) -> Result<Table> {
-        let input_schema = input.schema();
-        let mut fields: Vec<Field> = self
-            .group_cols
-            .iter()
-            .map(|&c| input_schema.field_at(c).clone())
-            .collect();
-        for spec in &self.aggs {
-            fields.push(Field::new(
-                spec.name.clone(),
-                spec.output_type(input_schema),
-            ));
-        }
-        let schema = Schema::new(fields)?.into_shared();
-        let n_groups = self.map.len();
-        let mut columns = self.map.build_key_columns(input, &self.group_cols)?;
-        for (i, spec) in self.aggs.iter().enumerate() {
-            let mut col = Column::new(spec.output_type(input_schema));
-            for gid in 0..n_groups {
-                let acc = &self.accs[gid * self.aggs.len() + i];
-                if acc.spilled() {
-                    stats.sketch_spills += 1;
-                }
-                col.push(acc.finish())?;
-            }
-            columns.push(col);
-        }
-        stats.rows_materialized += n_groups as u64;
-        Ok(Table::from_columns(schema, columns)?)
+        self.func.output_type(&self.input, schema)
     }
 }
 
@@ -482,59 +210,11 @@ pub fn hash_aggregate(
     Ok(tables.pop().expect("one level in, one table out"))
 }
 
-/// Scan `chunk` of `input` morsel by morsel, absorbing into `lvls`.
-/// One guard charge per morsel: the charge both meters the budget and
-/// observes cancellation, so a cancelled guard stops the scan within one
-/// morsel on whichever worker runs this chunk.
-///
-/// Each level picks its execution mode once per chunk: the fused vectorized
-/// pipeline where eligible, the hoisted scalar loop otherwise. The guard /
-/// span cadence is identical on both, so budgets, cancellation latency, and
-/// trace rollups do not depend on the kernel path.
-fn scan_chunk(
-    input: &Table,
-    lvls: &mut [Level],
-    chunk: std::ops::Range<usize>,
-    guard: &ResourceGuard,
-    stats: &mut ExecStats,
-    span: &mut SpanHandle,
-) -> Result<()> {
-    let config = guard.config();
-    let mut execs: Vec<LevelExec> = lvls
-        .iter_mut()
-        .map(|lvl| lvl.begin_chunk(input, config, stats))
-        .collect();
-    let result = (|| -> Result<()> {
-        for morsel in config.morsels(chunk) {
-            guard.charge(morsel.len() as u64)?;
-            span.add_morsels(1);
-            span.add_rows(morsel.len() as u64);
-            for (lvl, exec) in lvls.iter_mut().zip(execs.iter_mut()) {
-                match exec {
-                    LevelExec::Fused(fused) => fused.absorb_morsel(morsel.clone(), stats),
-                    LevelExec::FusedWide(fused) => fused.absorb_morsel(morsel.clone(), stats),
-                    LevelExec::Scalar(slices) => {
-                        stats.scalar_kernel_rows += morsel.len() as u64;
-                        for row in morsel.clone() {
-                            lvl.absorb(input, row, slices, stats)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    })();
-    // Fold fused state back even on early exit, so a budget/cancellation
-    // error never leaves a level with its map swapped out.
-    for (lvl, exec) in lvls.iter_mut().zip(execs) {
-        lvl.end_chunk(exec);
-    }
-    result
-}
-
 /// Aggregate at several grouping levels in **one pass** over `input` —
 /// the paper's synchronized-scan optimization for computing `Fk` and `Fj`
-/// together.
+/// together. Each level is a level spec of the grouped-aggregation driver:
+/// the union of the levels' key columns is coded once per block and every
+/// level projects that code into its own group map (DESIGN.md §7, §12).
 ///
 /// The input scan is charged to `guard` morsel by morsel (so cancellation
 /// and budget exhaustion land within one morsel), and every output group
@@ -546,145 +226,10 @@ pub fn multi_hash_aggregate(
     guard: &ResourceGuard,
     stats: &mut ExecStats,
 ) -> Result<Vec<Table>> {
-    let config = guard.config();
     for (cols, aggs) in levels {
         check_aggregate(input, cols, aggs)?;
     }
-    stats.statements += 1;
-    stats.holistic_lanes += levels
-        .iter()
-        .flat_map(|(_, aggs)| aggs)
-        .filter(|s| s.func.is_holistic())
-        .count() as u64;
-    guard.check()?;
-
-    let kernels: Vec<Vec<Kernel>> = levels
-        .iter()
-        .map(|(_, aggs)| classify_kernels(aggs, input))
-        .collect();
-    // Decide the group path once per level (the per-dimension domain scan
-    // is O(n) for integer columns); workers clone the shared key space so
-    // every partial uses the same codes and the merge can fold by code.
-    let spaces: Vec<Option<DenseKeySpace>> = levels
-        .iter()
-        .map(|(cols, _)| DenseKeySpace::try_build(input, cols, config.dense_budget))
-        .collect();
-    for space in &spaces {
-        if space.is_some() {
-            stats.dense_group_ops += 1;
-        } else {
-            stats.hash_group_ops += 1;
-        }
-    }
-    // Over-budget levels may still vectorize through shift-packed u64
-    // codes and group on the wide map; the domain scan is O(n) per level,
-    // so build the space once here and let workers clone it (cheap: a few
-    // Vecs of dimension arity).
-    let wides: Vec<Option<WideKeySpace>> = levels
-        .iter()
-        .zip(&kernels)
-        .zip(&spaces)
-        .map(|(((cols, _), ks), space)| {
-            if !config.vector
-                || cols.is_empty()
-                || space.is_some()
-                || ks.iter().any(|k| matches!(k, Kernel::Generic))
-            {
-                return None;
-            }
-            WideKeySpace::try_build(input, cols)
-        })
-        .collect();
-    let make_levels = || -> Vec<Level> {
-        levels
-            .iter()
-            .zip(&kernels)
-            .zip(&spaces)
-            .zip(&wides)
-            .map(|((((cols, aggs), ks), space), wide)| Level {
-                group_cols: cols.clone(),
-                aggs: aggs.clone(),
-                kernels: ks.clone(),
-                map: match (space, wide) {
-                    (Some(space), _) => GroupMap::Dense(DenseGroupMap::new(space.clone())),
-                    (None, Some(wide)) => GroupMap::Wide(WideGroupMap::new(wide.clone())),
-                    (None, None) => GroupMap::Hash(RowKeyMap::new()),
-                },
-                accs: Vec::new(),
-            })
-            .collect()
-    };
-
-    let n = input.num_rows();
-    stats.rows_scanned += n as u64;
-    let mut span = guard.span("aggregate");
-
-    // Plan-level kernel-path summary — the same predicate as
-    // `Level::fused_coder`, evaluated once up front. Probing the coder here
-    // also builds any lazy packed vectors serially, before workers race to
-    // share them.
-    let n_fused = levels
-        .iter()
-        .zip(&kernels)
-        .zip(spaces.iter().zip(&wides))
-        .filter(|(((cols, _), ks), (space, wide))| {
-            config.vector
-                && !cols.is_empty()
-                && !ks.iter().any(|k| matches!(k, Kernel::Generic))
-                && (space
-                    .as_ref()
-                    .is_some_and(|s| BlockCoder::try_new(input, s).is_some())
-                    || wide
-                        .as_ref()
-                        .is_some_and(|w| WideCoder::try_new(input, w).is_some()))
-        })
-        .count();
-    span.set_detail(if n_fused == levels.len() {
-        "vectorized"
-    } else if n_fused > 0 {
-        "mixed"
-    } else {
-        "scalar"
-    });
-
-    let partials = fan_out(
-        guard,
-        &mut span,
-        "multi_hash_aggregate",
-        n,
-        stats,
-        |chunk, wstats, wspan| -> Result<Vec<Level>> {
-            let mut lvls = make_levels();
-            scan_chunk(input, &mut lvls, chunk, guard, wstats, wspan)?;
-            Ok(lvls)
-        },
-    )?;
-    // Deterministic ordered merge: the first chunk's partial seeds the
-    // global tables (its group order is the serial prefix order), later
-    // chunks fold in, in worker order.
-    let mut partials = partials.into_iter();
-    let mut lvls = partials.next().expect("at least one chunk");
-    for wl in partials {
-        for (dst, src) in lvls.iter_mut().zip(wl) {
-            dst.merge_from(src, stats)?;
-        }
-    }
-
-    // Global aggregates return one row even over empty input.
-    for lvl in &mut lvls {
-        if lvl.group_cols.is_empty() && lvl.map.is_empty() {
-            lvl.map.get_or_insert_key(&[], stats);
-            for spec in &lvl.aggs {
-                lvl.accs.push(Acc::new(spec.func));
-            }
-        }
-    }
-    let out_rows: u64 = lvls.iter().map(|l| l.map.len() as u64).sum();
-    guard.charge(out_rows)?;
-    span.add_rows(out_rows);
-    lvls.into_iter()
-        .map(|lvl| lvl.finish(input, stats))
-        .collect()
+    group_tables(input, levels, Pass::Aggregate, guard, stats)
 }
 
 /// Reject group columns outside `input` and empty aggregate lists — the
@@ -714,6 +259,7 @@ pub fn resolve_cols(schema: &Schema, names: &[&str]) -> Result<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::ParallelConfig;
     use pa_storage::{Schema, Value};
 
     /// The unlimited guard the direct operator calls below run under.

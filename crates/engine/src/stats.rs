@@ -120,8 +120,8 @@ pub struct ExecStats {
     /// Lattice levels the most recent CUBE/ROLLUP/batch plan evaluated
     /// (one per grouping set routed through the dimension lattice).
     pub lattice_levels: u64,
-    /// Lattice levels answered by scanning the fact table (through the
-    /// fused one-scan kernel or a per-level fallback pass).
+    /// Lattice levels answered by scanning the fact table (all of them in
+    /// one pass of the grouped-aggregation driver).
     pub levels_from_scan: u64,
     /// Lattice levels answered from the lattice partial cache (directly or
     /// re-aggregated from a cached finer partial, never rescanning `F`).

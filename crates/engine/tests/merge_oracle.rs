@@ -135,9 +135,15 @@ fn sharded_result(
     let mut wires: Vec<Vec<u8>> = random_shards(t, k, seed)
         .iter()
         .map(|shard| {
-            partial_aggregate(shard, group_cols, specs, &mut stats)
-                .unwrap()
-                .serialize()
+            partial_aggregate(
+                shard,
+                group_cols,
+                specs,
+                &ResourceGuard::unlimited(),
+                &mut stats,
+            )
+            .unwrap()
+            .serialize()
         })
         .collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -155,10 +161,16 @@ fn sharded_result(
 
 fn single_pass(t: &Table, group_cols: &[usize], specs: &[AggSpec]) -> Table {
     let mut stats = ExecStats::default();
-    partial_aggregate(t, group_cols, specs, &mut stats)
-        .unwrap()
-        .finalize(&mut stats)
-        .unwrap()
+    partial_aggregate(
+        t,
+        group_cols,
+        specs,
+        &ResourceGuard::unlimited(),
+        &mut stats,
+    )
+    .unwrap()
+    .finalize(&mut stats)
+    .unwrap()
 }
 
 fn rows_of(t: &Table) -> Vec<Vec<Value>> {
@@ -222,9 +234,15 @@ fn shard_merge_matches_parallel_hash_aggregate_at_1_2_4_threads() {
     let mut merged: Option<ShardPartial> = None;
     for shard in random_shards(&t, 4, 21) {
         let p = ShardPartial::deserialize(
-            &partial_aggregate(&shard, &group_cols, &specs, &mut stats)
-                .unwrap()
-                .serialize(),
+            &partial_aggregate(
+                &shard,
+                &group_cols,
+                &specs,
+                &ResourceGuard::unlimited(),
+                &mut stats,
+            )
+            .unwrap()
+            .serialize(),
         )
         .unwrap();
         match &mut merged {
@@ -286,7 +304,14 @@ fn tdigest_lane_deterministic_under_fixed_merge_order() {
         let mut stats = ExecStats::default();
         let mut merged: Option<ShardPartial> = None;
         for shard in random_shards(&t, 3, 99) {
-            let p = partial_aggregate(&shard, &group_cols, &specs, &mut stats).unwrap();
+            let p = partial_aggregate(
+                &shard,
+                &group_cols,
+                &specs,
+                &ResourceGuard::unlimited(),
+                &mut stats,
+            )
+            .unwrap();
             match &mut merged {
                 None => merged = Some(p),
                 Some(m) => m.merge(p).unwrap(),
@@ -497,7 +522,7 @@ proptest! {
         let t = fact_table(30, seed);
         let specs = specs_of(&t, &all_funcs());
         let mut stats = ExecStats::default();
-        let wire = partial_aggregate(&t, &[0], &specs, &mut stats).unwrap().serialize();
+        let wire = partial_aggregate(&t, &[0], &specs, &ResourceGuard::unlimited(), &mut stats).unwrap().serialize();
         // Truncations: every prefix must fail cleanly.
         let step = (wire.len() / 23).max(1);
         for cut in (0..wire.len()).step_by(step) {

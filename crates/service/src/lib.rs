@@ -639,8 +639,8 @@ impl<'a> QueryService<'a> {
             .catalog()
             .table(table)
             .map_err(CoreError::from)?;
-        let guard = shared.read();
-        let schema = guard.schema().clone();
+        let source = shared.read();
+        let schema = source.schema().clone();
         let group_cols: Vec<usize> = group_by
             .iter()
             .map(|n| schema.index_of(n))
@@ -658,20 +658,34 @@ impl<'a> QueryService<'a> {
             .collect::<Result<_>>()?;
 
         // Scatter: round-robin rows into disjoint shards, aggregate each
-        // independently, and capture the partial as wire bytes.
-        let mut stats = ExecStats::default();
-        let n = guard.num_rows();
-        let mut wires: Vec<Vec<u8>> = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let rows: Vec<usize> = (0..n).filter(|r| r % shards == s).collect();
-            let columns: Vec<Column> = guard.columns().iter().map(|c| c.take(&rows)).collect();
-            let shard_table =
-                Table::from_columns(schema.clone(), columns).map_err(CoreError::from)?;
-            let p = partial_aggregate(&shard_table, &group_cols, &specs, &mut stats)
-                .map_err(CoreError::from)?;
-            wires.push(p.serialize());
-        }
-        drop(guard);
+        // independently, and capture the partial as wire bytes. The shard
+        // scans run like a SQL query: under the service's default limits
+        // and the engine guard's cancellation.
+        let limits = self.resolve_limits(&SessionOptions::default());
+        let ((wires, mut stats), charged) =
+            self.engine
+                .run_limited("aggregate_sharded", limits, |qguard| {
+                    let mut stats = ExecStats::default();
+                    let n = source.num_rows();
+                    let mut wires: Vec<Vec<u8>> = Vec::with_capacity(shards);
+                    for s in 0..shards {
+                        let rows: Vec<usize> = (0..n).filter(|r| r % shards == s).collect();
+                        let columns: Vec<Column> =
+                            source.columns().iter().map(|c| c.take(&rows)).collect();
+                        let shard_table = Table::from_columns(schema.clone(), columns)?;
+                        let p = partial_aggregate(
+                            &shard_table,
+                            &group_cols,
+                            &specs,
+                            qguard,
+                            &mut stats,
+                        )?;
+                        wires.push(p.serialize());
+                    }
+                    Ok((wires, stats))
+                })?;
+        drop(source);
+        stats.rows_charged = charged;
 
         // Gather: decode every shipped partial and merge into one.
         let mut merged: Option<ShardPartial> = None;

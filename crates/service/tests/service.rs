@@ -541,3 +541,34 @@ fn sharded_aggregate_matches_single_pass_for_every_aggregate() {
     assert!(service.aggregate_sharded("sales", &[], aggs, 0).is_err());
     assert_eq!(service.available_permits(), service.config().max_concurrent);
 }
+
+#[test]
+fn sharded_aggregate_runs_under_the_service_limits() {
+    use pa_core::QueryLimits;
+    use pa_engine::AggFunc;
+
+    let catalog = sales_catalog(1024);
+    let aggs: &[(AggFunc, Option<&str>, &str)] = &[(AggFunc::CountStar, None, "n")];
+    // The shard scans alone read 1024 rows: a 100-row default budget must
+    // stop them with the same typed error a SQL query gets.
+    let limited = ServiceConfig {
+        default_limits: QueryLimits {
+            row_budget: Some(100),
+            deadline: None,
+        },
+        ..ServiceConfig::default()
+    };
+    let service = QueryService::new(&catalog, limited);
+    match service.aggregate_sharded("sales", &["state"], aggs, 4) {
+        Err(ServiceError::Query(CoreError::BudgetExceeded { .. })) => {}
+        other => panic!("expected a budget error, got {other:?}"),
+    }
+    assert_eq!(service.available_permits(), service.config().max_concurrent);
+
+    // Within budget, the rows the scans charged are reported.
+    let service = QueryService::new(&catalog, ServiceConfig::default());
+    let ok = service
+        .aggregate_sharded("sales", &["state"], aggs, 4)
+        .unwrap();
+    assert!(ok.stats.rows_charged >= 1024, "{}", ok.stats);
+}
